@@ -29,7 +29,6 @@ def main():
     parser.add_argument("--depth", default="5..30:5")
     parser.add_argument("--rows", type=int, default=1200)
     parser.add_argument("--seed", type=int, default=2)
-    parser.add_argument("--repeats", type=int, default=1)
     args = parser.parse_args()
 
     trees_values = _parse_range_spec(args.trees)
@@ -44,7 +43,7 @@ def main():
 
     print(f"grid: {len(trees_values)} tree values x {len(depth_values)} depth values "
           f"= {len(trees_values) * len(depth_values)} cells on {args.rows} rows")
-    result = grid_search(d, trees_values, depth_values, seed=args.seed, repeats=args.repeats)
+    result = grid_search(d, trees_values, depth_values, seed=args.seed)
     write_grid_csv(result, Path(args.out))
     print(f"wrote {args.out}")
 

@@ -50,10 +50,6 @@ DEGRADED = "Degraded"
 STOPPED = "Stopped"
 
 
-class SimulatedCrash(Exception):
-    """Raised by test failpoints to emulate sudden process death."""
-
-
 @dataclass(frozen=True)
 class HorizonPrediction:
     class_id: int
@@ -194,7 +190,6 @@ class MonitoringAgent:
         self._degraded_turbines: set[str] = set()
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
-        self._failpoint = None  # test hook: callable(stage, turbine)
 
         # feature index per (turbine, horizon), resolved against the manifest
         self._projections: dict[tuple[str, int], list[int]] = {}
@@ -317,35 +312,23 @@ class MonitoringAgent:
         crash window between the two is covered by the sink-derived dedupe
         index.
         """
-        self._fire("poll", turbine)
         msgs = self.broker.poll(self.group, turbine, self.max_batch)
         if not msgs:
             return 0
         notifications: list[PredictionNotification] = []
         dead: list[str] = []
-        batch_keys: list[tuple[str, int]] = []
-        pending = set()
+        pending: set[tuple[str, int]] = set()
         for msg in msgs:
             try:
                 result = self.process_message(msg)
-            except MalformedPayload as exc:
-                dead.append(json.dumps({
-                    "turbine": turbine,
-                    "offset": msg.offset,
-                    "error": str(exc),
-                    "payload": msg.payload.decode("utf-8", errors="replace"),
-                    "quarantined_at": time.time(),
-                }, sort_keys=True))
-                continue
-            except SimulatedCrash:
-                raise
             except (FatalStorageFailure, StorageFailure):
                 raise
             except Exception as exc:  # contain any handler failure to its message
+                error = str(exc) if isinstance(exc, MalformedPayload) else f"handler failure: {exc!r}"
                 dead.append(json.dumps({
                     "turbine": turbine,
                     "offset": msg.offset,
-                    "error": f"handler failure: {exc!r}",
+                    "error": error,
                     "payload": msg.payload.decode("utf-8", errors="replace"),
                     "quarantined_at": time.time(),
                 }, sort_keys=True))
@@ -353,29 +336,23 @@ class MonitoringAgent:
             if isinstance(result, Skip):
                 self._bump("duplicates_skipped")
                 continue
+            # process_message has already skipped keys in _seen; this catches
+            # a record repeated within the batch
             key = (turbine, result.t)
-            if key in self._seen or key in pending:
+            if key in pending:
                 self._bump("duplicates_skipped")
                 continue
             pending.add(key)
-            batch_keys.append(key)
             notifications.append(result)
         if dead:
             self.dead_letter.append_lines(dead)
             self._bump("dead_lettered", len(dead))
-        self._fire("before_sink_append", turbine)
         self.sink.append_lines([n.to_json_line() for n in notifications])
-        self._fire("after_sink_append", turbine)
-        self._seen.update(batch_keys)
+        self._seen.update(pending)
         self.broker.commit(self.group, turbine, msgs[-1].offset + 1)
-        self._fire("after_commit", turbine)
         self._bump("processed", len(msgs))
         self._bump("notifications", len(notifications))
         return len(msgs)
-
-    def _fire(self, stage: str, turbine: str) -> None:
-        if self._failpoint is not None:
-            self._failpoint(stage, turbine)
 
     def process_available(self) -> int:
         """Synchronously drain every turbine topic until quiescent."""

@@ -137,7 +137,6 @@ def build_parser() -> _Parser:
     p.add_argument("--trees", default="5..100:5", help="e.g. 5..100:5 or 10,40,80")
     p.add_argument("--depth", default="5..30:5")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--repeats", type=int, default=1)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("serve", help="run broker consumer + agent + streaming endpoint")
@@ -280,7 +279,6 @@ def cmd_grid_search(args, config) -> int:
         _parse_range_spec(args.trees),
         _parse_range_spec(args.depth),
         seed=args.seed,
-        repeats=args.repeats,
     )
     write_grid_csv(result, Path(args.out))
     print(f"wrote {len(result.cells)} cells to {args.out}")

@@ -67,6 +67,9 @@ class _Handler(BaseHTTPRequestHandler):
                 with sink.condition:
                     sink.condition.wait(timeout=0.25)
             self._write_chunk("")
+            # end the keep-alive connection too, or this handler thread
+            # outlives stop() waiting for the client's next request
+            self.close_connection = True
         except (BrokenPipeError, ConnectionResetError):
             pass
 

@@ -41,14 +41,13 @@ class DecisionTree:
     right: list[int]
     counts: list[list[int] | None]
     n_classes: int
-    leaf_class: list[int | None] = field(default_factory=list)
+    leaf_class: list[int | None] = field(init=False)
 
     def __post_init__(self):
-        if not self.leaf_class:
-            self.leaf_class = [
-                (int(max(range(self.n_classes), key=lambda c: (cnt[c], -c))) if cnt is not None else None)
-                for cnt in self.counts
-            ]
+        self.leaf_class = [
+            (int(max(range(self.n_classes), key=lambda c: (cnt[c], -c))) if cnt is not None else None)
+            for cnt in self.counts
+        ]
 
     def apply(self, x) -> int:
         """Index of the leaf reached by feature vector x."""
@@ -151,17 +150,19 @@ def train_tree(
     onehot = np.zeros((n, n_classes), dtype=np.int64)
     onehot[np.arange(n), y_index] = 1
 
-    tree = DecisionTree([], [], [], [], [], n_classes)
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    node_counts: list[list[int] | None] = []
 
     def add_leaf(counts: np.ndarray) -> int:
-        i = len(tree.feature)
-        tree.feature.append(LEAF)
-        tree.threshold.append(0.0)
-        tree.left.append(LEAF)
-        tree.right.append(LEAF)
-        cnt = [int(c) for c in counts]
-        tree.counts.append(cnt)
-        tree.leaf_class.append(int(max(range(n_classes), key=lambda c: (cnt[c], -c))))
+        i = len(feature)
+        feature.append(LEAF)
+        threshold.append(0.0)
+        left.append(LEAF)
+        right.append(LEAF)
+        node_counts.append([int(c) for c in counts])
         return i
 
     def grow(rows: np.ndarray, depth: int) -> int:
@@ -174,19 +175,18 @@ def train_tree(
         if found is None:
             return add_leaf(counts)
         f, thr, left_mask = found
-        i = len(tree.feature)
-        tree.feature.append(f)
-        tree.threshold.append(thr)
-        tree.left.append(0)
-        tree.right.append(0)
-        tree.counts.append(None)
-        tree.leaf_class.append(None)
-        tree.left[i] = grow(rows[left_mask], depth + 1)
-        tree.right[i] = grow(rows[~left_mask], depth + 1)
+        i = len(feature)
+        feature.append(f)
+        threshold.append(thr)
+        left.append(0)
+        right.append(0)
+        node_counts.append(None)
+        left[i] = grow(rows[left_mask], depth + 1)
+        right[i] = grow(rows[~left_mask], depth + 1)
         return i
 
     grow(np.arange(n), 0)
-    return tree
+    return DecisionTree(feature, threshold, left, right, node_counts, n_classes)
 
 
 def default_features_per_split(p: int) -> int:

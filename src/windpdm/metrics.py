@@ -128,13 +128,12 @@ def grid_search(
     depth_values: Sequence[int],
     seed: int = 0,
     train_fraction: float = 2.0 / 3.0,
-    repeats: int = 1,
 ) -> GridResult:
     """Train and score one forest per (n_trees, max_depth) cell.
 
-    All cells share one stratified split. Training wall-clock is measured
-    around training only (median over ``repeats``); publication runs should
-    execute serially so measurements do not contend.
+    All cells share one stratified split. Each cell's ``seconds`` is the
+    wall-clock time of its one training; publication runs should execute
+    serially so measurements do not contend.
     """
     if not trees_values or not depth_values:
         raise EmptyMatrix("grid value sets must be non-empty")
@@ -144,19 +143,15 @@ def grid_search(
     for n_trees in trees_values:
         for max_depth in depth_values:
             try:
-                timings = []
-                forest = None
-                for _ in range(max(1, repeats)):
-                    begin = time.perf_counter()
-                    forest = train_forest(
-                        train.features, train.labels, d.class_ids,
-                        n_trees=n_trees, max_depth=max_depth, seed=seed,
-                    )
-                    timings.append(time.perf_counter() - begin)
+                begin = time.perf_counter()
+                forest = train_forest(
+                    train.features, train.labels, d.class_ids,
+                    n_trees=n_trees, max_depth=max_depth, seed=seed,
+                )
+                seconds = time.perf_counter() - begin
                 pred = predict_batch(forest, test.features)
                 report = evaluate(confusion(pred.tolist(), test.labels.tolist(), d.class_ids))
-                cells.append(GridCell(n_trees, max_depth, report.global_accuracy,
-                                      float(np.median(timings))))
+                cells.append(GridCell(n_trees, max_depth, report.global_accuracy, seconds))
             except Exception as exc:
                 raise type(exc)(f"grid cell (n_trees={n_trees}, max_depth={max_depth}): {exc}") from exc
     return GridResult(list(trees_values), list(depth_values), cells, seed)

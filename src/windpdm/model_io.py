@@ -74,15 +74,13 @@ def _bundle_payload(b: ModelBundle) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def save_model(b: ModelBundle, path: Path) -> None:
-    payload = _bundle_payload(b)
-    blob = _HEADER.pack(MAGIC, b.format_version, len(payload)) + payload + hashlib.sha256(payload).digest()
-    Path(path).write_bytes(blob)
-
-
 def serialize_model(b: ModelBundle) -> bytes:
     payload = _bundle_payload(b)
     return _HEADER.pack(MAGIC, b.format_version, len(payload)) + payload + hashlib.sha256(payload).digest()
+
+
+def save_model(b: ModelBundle, path: Path) -> None:
+    Path(path).write_bytes(serialize_model(b))
 
 
 def load_model(path: Path) -> ModelBundle:

@@ -3,9 +3,7 @@
 The simulator walks the store slot by slot across all turbines, publishing
 each record's CSV row bytes to the turbine's topic. ``speedup_ms_per_step``
 paces one 10-minute slot per N real milliseconds (None = as fast as
-possible; 600000 = real time). Fault injections let harnesses kill an
-in-process agent after the k-th publish or make the broker unavailable for
-a window, which is how the recovery contracts get exercised at desk scale.
+possible; 600000 = real time).
 """
 
 from __future__ import annotations
@@ -15,15 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .broker import Broker
-from .errors import StorageFailure
 from .ingest import TurbineStore
-
-
-@dataclass
-class FaultInjection:
-    kill_agent_at: int | None = None  # publish count after which the agent is killed
-    pause_broker_at: int | None = None  # publish count at which consumers start failing
-    pause_ms: float = 0.0
 
 
 @dataclass
@@ -34,60 +24,16 @@ class SimulatorConfig:
     start: int | None = None
     end: int | None = None
     speedup_ms_per_step: float | None = None  # None = max speed
-    faults: FaultInjection = field(default_factory=FaultInjection)
 
     def __post_init__(self):
         if self.speedup_ms_per_step is not None and self.speedup_ms_per_step <= 0:
             raise ValueError("speedup must be positive milliseconds per step")
 
 
-class PausableBroker:
-    """Broker wrapper whose consumer side fails while paused.
-
-    Publishes keep landing (the turbines keep sending); poll and commit
-    raise StorageFailure until the pause deadline passes.
-    """
-
-    def __init__(self, inner: Broker):
-        self.inner = inner
-        self._paused_until = 0.0
-
-    def pause_for(self, ms: float) -> None:
-        self._paused_until = time.monotonic() + ms / 1000.0
-
-    def _check(self):
-        if time.monotonic() < self._paused_until:
-            raise StorageFailure("broker unavailable (simulated pause)")
-
-    def poll(self, group, topic, max_batch=256):
-        self._check()
-        return self.inner.poll(group, topic, max_batch)
-
-    def commit(self, group, topic, offset):
-        self._check()
-        return self.inner.commit(group, topic, offset)
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
-
-def replay(
-    config: SimulatorConfig,
-    broker: Broker | None = None,
-    agent=None,
-    on_publish=None,
-) -> int:
-    """Publish stored records in slot order; returns the publish count.
-
-    Fault injections: with an in-process ``agent`` handle, the agent is
-    halted after the configured publish count (a restarted agent must then
-    resume from committed offsets); a PausableBroker wrapper goes
-    unavailable for the configured window. ``on_publish(count)`` runs after
-    each publish for custom harness hooks.
-    """
+def replay(config: SimulatorConfig, broker: Broker | None = None) -> int:
+    """Publish stored records in slot order; returns the publish count."""
     store = TurbineStore.open(Path(config.store_path))
-    owns_broker = broker is None
-    if owns_broker:
+    if broker is None:
         broker = Broker(Path(config.broker_path))
     turbines = config.turbines or list(store.manifest.turbines)
     for turbine in turbines:
@@ -100,8 +46,6 @@ def replay(
     slots = sorted({rec.timestamp for _, records in streams for rec in records})
 
     published = 0
-    pause_done = False
-    kill_done = False
     pointers = [0] * len(streams)
     for slot in slots:
         step_begin = time.monotonic()
@@ -111,20 +55,6 @@ def replay(
                 broker.publish(turbine, records[i].to_csv_line().encode("utf-8"))
                 i += 1
                 published += 1
-                if (not pause_done
-                        and config.faults.pause_broker_at is not None
-                        and published >= config.faults.pause_broker_at):
-                    pause_done = True
-                    if isinstance(broker, PausableBroker):
-                        broker.pause_for(config.faults.pause_ms)
-                if (not kill_done
-                        and agent is not None
-                        and config.faults.kill_agent_at is not None
-                        and published >= config.faults.kill_agent_at):
-                    kill_done = True
-                    agent.stop()
-                if on_publish is not None:
-                    on_publish(published)
             pointers[si] = i
         if config.speedup_ms_per_step is not None:
             remaining = config.speedup_ms_per_step / 1000.0 - (time.monotonic() - step_begin)

@@ -16,11 +16,10 @@ reproduces byte-identical model files.
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +65,6 @@ class TrainingPlan:
     train_fraction: float = 2.0 / 3.0
     seed: int = 0
     created_at: int | None = None  # defaults to the range end: a data property, not wall clock
-    parallelism: int = 1
     keep_datasets: bool = False
 
     def __post_init__(self):
@@ -78,15 +76,21 @@ class TrainingPlan:
             raise PlanInvalid("plan range bounds must be 10-minute aligned")
         if self.created_at is None:
             self.created_at = self.end
-        if self.parallelism < 1:
-            raise PlanInvalid("parallelism must be >= 1")
 
 
 def parse_plan(path: Path, overrides: dict | None = None) -> TrainingPlan:
-    """Plan file: key = value lines; names mirror the TrainingPlan fields."""
+    """Plan file: key = value lines; names mirror the TrainingPlan fields.
+
+    A key that names no field raises PlanInvalid, so a typo cannot silently
+    train with the default it meant to replace.
+    """
     kv = parse_key_values(Path(path).read_text(encoding="utf-8"))
     if overrides:
         kv.update({k: str(v) for k, v in overrides.items() if v is not None})
+    known = {f.name for f in fields(TrainingPlan)}
+    unknown = sorted(k for k in kv if k not in known)
+    if unknown:
+        raise PlanInvalid(f"unknown plan keys: {', '.join(unknown)}")
     required = ("store_path", "output_dir", "start", "end")
     missing = [k for k in required if k not in kv]
     if missing:
@@ -117,7 +121,6 @@ def parse_plan(path: Path, overrides: dict | None = None) -> TrainingPlan:
         train_fraction=get("train_fraction", float, 2.0 / 3.0),
         seed=get("seed", int, 0),
         created_at=get("created_at", parse_rfc3339, None),
-        parallelism=get("parallelism", int, 1),
         keep_datasets=get("keep_datasets", lambda s: s.lower() == "true", False),
     )
 
@@ -173,7 +176,7 @@ def _train_turbine(plan: TrainingPlan, store: TurbineStore, turbine: str):
         ops = list(store.scan_operational(turbine, plan.start, plan.end))
         if len(ops) < 2:
             skip_all(f"only {len(ops)} operational rows in range")
-            return turbine, outcomes, selection, patterns
+            return outcomes, selection, patterns
         matrix = FeatureMatrix(
             np.asarray([rec.values for rec in ops]), list(store.manifest.parameters))
         selection = select_parameters(
@@ -186,10 +189,10 @@ def _train_turbine(plan: TrainingPlan, store: TurbineStore, turbine: str):
         timeline = build_class_timeline(transactions, patterns, critical)
     except DataError as exc:
         skip_all(f"{type(exc).__name__}: {exc}")
-        return turbine, outcomes, selection, patterns
+        return outcomes, selection, patterns
     except Exception as exc:  # isolate unexpected failures to this turbine
         skip_all(f"unexpected failure: {exc!r}")
-        return turbine, outcomes, selection, patterns
+        return outcomes, selection, patterns
 
     models_dir = plan.output_dir / "models" / turbine
     models_dir.mkdir(parents=True, exist_ok=True)
@@ -232,7 +235,7 @@ def _train_turbine(plan: TrainingPlan, store: TurbineStore, turbine: str):
             outcomes.append(HorizonOutcome(
                 turbine, h, "skipped", skip_reason=f"unexpected failure: {exc!r}",
                 duration_seconds=time.perf_counter() - begin))
-    return turbine, outcomes, selection, patterns
+    return outcomes, selection, patterns
 
 
 def run(plan: TrainingPlan) -> TrainingRunReport:
@@ -251,12 +254,8 @@ def run(plan: TrainingPlan) -> TrainingRunReport:
     all_outcomes: list[HorizonOutcome] = []
     selections: dict[str, SelectionReport] = {}
     mined: dict[str, list[StatusPattern]] = {}
-    if plan.parallelism > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=plan.parallelism) as pool:
-            results = list(pool.map(lambda t: _train_turbine(plan, store, t), turbines))
-    else:
-        results = [_train_turbine(plan, store, t) for t in turbines]
-    for turbine, outcomes, selection, patterns in results:
+    for turbine in turbines:
+        outcomes, selection, patterns = _train_turbine(plan, store, turbine)
         all_outcomes.extend(outcomes)
         if selection is not None:
             selections[turbine] = selection

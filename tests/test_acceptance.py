@@ -12,7 +12,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from windpdm.agent import SINK_FILENAME, MonitoringAgent, SimulatedCrash
+from windpdm.agent import SINK_FILENAME, MonitoringAgent
 from windpdm.broker import Broker
 from windpdm.dataset import HorizonDataset
 from windpdm.features import FeatureMatrix, pca, standardize
@@ -36,6 +36,7 @@ from windpdm.trainer import TrainingPlan, run as run_plan
 from windpdm.errors import NoPatternsFound
 
 from conftest import T0, make_planted_grid_data
+from fakes import SimulatedCrash, install_failpoint
 from oracles import (
     brute_force_best_split,
     brute_force_itemsets,
@@ -325,13 +326,13 @@ def test_08_agent_exactly_once(tmp_path):
                     stage = stages[int(rng.integers(0, len(stages)))]
                     countdown = [int(rng.integers(1, 6))]
 
-                    def failpoint(s, turbine, stage=stage, countdown=countdown):
+                    def failpoint(s, stage=stage, countdown=countdown):
                         if s == stage:
                             countdown[0] -= 1
                             if countdown[0] <= 0:
                                 raise SimulatedCrash
 
-                    agent._failpoint = failpoint
+                    install_failpoint(agent, failpoint)
                     try:
                         agent.process_available()
                     except SimulatedCrash:

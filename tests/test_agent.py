@@ -1,4 +1,6 @@
+import http.client
 import json
+import threading
 import time
 import urllib.request
 
@@ -12,7 +14,6 @@ from windpdm.agent import (
     STOPPED,
     MonitoringAgent,
     NotificationSink,
-    SimulatedCrash,
     Skip,
     bundle_path,
 )
@@ -23,10 +24,10 @@ from windpdm.forest import predict, train_forest
 from windpdm.manifest import Manifest
 from windpdm.model_io import ModelBundle, save_model
 from windpdm.patterns import HORIZONS_MINUTES, StatusPattern
-from windpdm.simulator import PausableBroker
 from windpdm.timeutil import format_rfc3339
 
 from conftest import T0
+from fakes import FaultyBroker, SimulatedCrash, install_failpoint
 
 FEATURES = ["wind_speed", "power_kw"]
 
@@ -162,11 +163,11 @@ class TestCrashRecovery:
         agent, broker, _, tmp = rig
         broker.publish("T1", row_payload(T0))
 
-        def crash_after_sink(stage, turbine):
+        def crash_after_sink(stage):
             if stage == "after_sink_append":
                 raise SimulatedCrash
 
-        agent._failpoint = crash_after_sink
+        install_failpoint(agent, crash_after_sink)
         with pytest.raises(SimulatedCrash):
             agent.process_available()
         # restart: offset was never committed, so the message is redelivered
@@ -181,11 +182,11 @@ class TestCrashRecovery:
         broker.publish("T1", row_payload(T0))
         broker.publish("T1", row_payload(T0 + 600))
 
-        def crash_before_sink(stage, turbine):
+        def crash_before_sink(stage):
             if stage == "before_sink_append":
                 raise SimulatedCrash
 
-        agent._failpoint = crash_before_sink
+        install_failpoint(agent, crash_before_sink)
         with pytest.raises(SimulatedCrash):
             agent.process_available()
         assert (tmp / "sink" / SINK_FILENAME).read_text() == ""
@@ -237,7 +238,7 @@ class TestSupervision:
         models_dir = tmp_path / "models"
         make_models(models_dir, manifest.turbines)
         inner = Broker(tmp_path / "broker")
-        flaky = PausableBroker(inner)
+        flaky = FaultyBroker(inner)
         agent = MonitoringAgent.start(
             models_dir, flaky, list(manifest.turbines), tmp_path / "sink", manifest,
             idle_poll_interval=0.005, backoff_initial=0.02, backoff_max=0.1)
@@ -340,6 +341,32 @@ class TestEndpoint:
             resp.close()
         finally:
             endpoint.stop()
+
+    def test_stop_ends_open_stream_handler(self, rig):
+        agent, broker, _, _ = rig
+        before = set(threading.enumerate())
+        endpoint = AgentEndpoint(agent, port=0)
+        endpoint.start()
+        host, port = endpoint.address
+        broker.publish("T1", row_payload(T0))
+        agent.process_available()
+        # http.client keeps the connection alive (urllib asks to close it)
+        conn = http.client.HTTPConnection(host, port, timeout=5)
+        try:
+            conn.request("GET", "/stream?from=0")
+            resp = conn.getresponse()
+            assert json.loads(resp.readline().decode())["turbine"] == "T1"
+        finally:
+            endpoint.stop()  # the client is still connected
+        try:
+            deadline = time.time() + 2.0
+            left = [t for t in threading.enumerate() if t not in before]
+            while left and time.time() < deadline:
+                time.sleep(0.01)
+                left = [t for t in threading.enumerate() if t not in before]
+            assert left == []
+        finally:
+            conn.close()
 
     def test_unknown_path_404(self, rig):
         agent, _, _, _ = rig

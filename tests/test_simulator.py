@@ -5,12 +5,14 @@ import pytest
 
 from windpdm.agent import SINK_FILENAME, MonitoringAgent
 from windpdm.broker import Broker
-from windpdm.simulator import FaultInjection, PausableBroker, SimulatorConfig, replay
+from windpdm.errors import StorageFailure
+from windpdm.simulator import SimulatorConfig, replay
 from windpdm.synth import SynthConfig, generate
 
 from test_agent import make_models, manifest  # noqa: F401  (manifest fixture)
 
 from conftest import T0
+from fakes import FaultyBroker
 
 
 @pytest.fixture
@@ -80,10 +82,10 @@ class TestFaultInjection:
                                       tmp_path / "sink", manifest,
                                       idle_poll_interval=0.005)
         agent.run_threaded()
-        cfg = SimulatorConfig(
-            store_path=tmp_path / "store", broker_path=tmp_path / "broker",
-            faults=FaultInjection(kill_agent_at=7))
-        published = replay(cfg, broker=broker, agent=agent)
+        killer = FaultyBroker(broker)
+        killer.after_publish(7, agent.stop)
+        cfg = SimulatorConfig(store_path=tmp_path / "store", broker_path=tmp_path / "broker")
+        published = replay(cfg, broker=killer)
         assert published == 20
 
         restarted = MonitoringAgent.start(models_dir, Broker(tmp_path / "broker"),
@@ -96,13 +98,12 @@ class TestFaultInjection:
 
     def test_pause_window_blocks_consumers(self, tmp_path, replay_store):
         inner = Broker(tmp_path / "broker")
-        flaky = PausableBroker(inner)
+        flaky = FaultyBroker(inner)
+        flaky.after_publish(2, lambda: flaky.pause_for(150))
         cfg = SimulatorConfig(store_path=replay_store.out_dir,
                               broker_path=tmp_path / "broker",
-                              end=T0 + 3 * 600,
-                              faults=FaultInjection(pause_broker_at=2, pause_ms=150))
+                              end=T0 + 3 * 600)
         replay(cfg, broker=flaky)
-        from windpdm.errors import StorageFailure
         with pytest.raises(StorageFailure):
             flaky.poll("g", "T01", 1)
         time.sleep(0.16)

@@ -80,16 +80,6 @@ class TestRun:
         rb = (tmp_path / "b" / "reports" / "evaluation_T01.csv").read_text()
         assert ra == rb
 
-    def test_parallel_run_matches_serial(self, tmp_path):
-        cfg = synth_store(tmp_path, turbines=2)
-        run(plan_for(cfg, tmp_path / "serial", parallelism=1))
-        run(plan_for(cfg, tmp_path / "parallel", parallelism=4))
-        for turbine in ("T01", "T02"):
-            for h in HORIZONS_MINUTES:
-                a = (tmp_path / "serial" / "models" / turbine / f"horizon_{h}.model").read_bytes()
-                b = (tmp_path / "parallel" / "models" / turbine / f"horizon_{h}.model").read_bytes()
-                assert a == b
-
     def test_unknown_turbine_rejected(self, tmp_path):
         cfg = synth_store(tmp_path, turbines=1)
         plan = plan_for(cfg, tmp_path / "out")
@@ -99,7 +89,7 @@ class TestRun:
 
     def test_full_fleet_yields_102_bundles(self, tmp_path):
         cfg = synth_store(tmp_path, turbines=17, days=2.0)
-        report = run(plan_for(cfg, tmp_path / "out", n_trees=2, max_depth=3, parallelism=2))
+        report = run(plan_for(cfg, tmp_path / "out", n_trees=2, max_depth=3))
         assert len(report.completed) == 17 * 6 == 102
         bundles = list((tmp_path / "out" / "models").glob("*/horizon_*.model"))
         assert len(bundles) == 102
@@ -176,6 +166,18 @@ class TestPlanParsing:
             "store_path = s\noutput_dir = o\n"
             "start = 2015-01-01T00:00:00Z\nend = 2015-01-02T00:00:00Z\nn_trees = many\n")
         with pytest.raises(PlanInvalid):
+            parse_plan(plan_file)
+
+    @pytest.mark.parametrize("line, key", [
+        ("parallelism = 4", "parallelism"),  # a key this plan format no longer has
+        ("n_tree = 100", "n_tree"),  # a typo for n_trees
+    ])
+    def test_unknown_key_rejected(self, tmp_path, line, key):
+        plan_file = tmp_path / "plan.conf"
+        plan_file.write_text(
+            "store_path = s\noutput_dir = o\n"
+            f"start = 2015-01-01T00:00:00Z\nend = 2015-01-02T00:00:00Z\n{line}\n")
+        with pytest.raises(PlanInvalid, match=f"unknown plan keys: {key}$"):
             parse_plan(plan_file)
 
 
