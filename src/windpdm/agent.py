@@ -13,9 +13,12 @@ Exactly-once notifications on top of at-least-once delivery:
 * malformed payloads are quarantined to a dead-letter log and their offset
   committed; the stream keeps flowing.
 
-Processing failures are contained to their message; broker outages are
-retried with exponential backoff (health reports Degraded meanwhile). The
-only unrecoverable condition is an unwritable sink.
+One consumer thread drains every turbine round-robin, one poll each per
+round, and appends the round's notifications in one write before it
+commits. A failing handler is contained to its message (dead-lettered). A
+``StorageFailure`` backs off that turbine alone while the others keep
+flowing (health reports Degraded). Any other exception, an unwritable sink
+included, stops the agent and names its cause in ``fatal_error``.
 """
 
 from __future__ import annotations
@@ -185,11 +188,13 @@ class MonitoringAgent:
             "backoffs": 0,
         }
         self._counter_lock = threading.Lock()
-        self._status = READY
         self.fatal_error: str | None = None
-        self._degraded_turbines: set[str] = set()
+        # turbines in backoff (status Degraded while any is): the monotonic
+        # time each sits out until, and the wait its next StorageFailure imposes
+        self._not_before: dict[str, float] = {}
+        self._backoff: dict[str, float] = {}
         self._stop = threading.Event()
-        self._threads: list[threading.Thread] = []
+        self._thread: threading.Thread | None = None
 
         # feature index per (turbine, horizon), resolved against the manifest
         self._projections: dict[tuple[str, int], list[int]] = {}
@@ -252,9 +257,9 @@ class MonitoringAgent:
 
     @property
     def status(self) -> str:
-        if self._status == STOPPED:
+        if self._stop.is_set():
             return STOPPED
-        return DEGRADED if self._degraded_turbines else READY
+        return DEGRADED if self._backoff else READY
 
     def health(self) -> dict:
         with self._counter_lock:
@@ -263,6 +268,7 @@ class MonitoringAgent:
             "status": self.status,
             "turbines": sorted(self.models),
             "counters": counters,
+            "fatal_error": self.fatal_error,
         }
 
     def _bump(self, key: str, by: int = 1) -> None:
@@ -305,20 +311,39 @@ class MonitoringAgent:
             emitted_at=time.time(),
         )
 
-    def _drain_turbine(self, turbine: str) -> int:
-        """Poll once and process the batch. Returns messages handled.
+    def _back_off(self, turbine: str) -> None:
+        backoff = self._backoff.get(turbine, self.backoff_initial)
+        self._not_before[turbine] = time.monotonic() + backoff
+        self._backoff[turbine] = min(backoff * 2.0, self.backoff_max)
+        self._bump("backoffs")
 
-        Ordering contract: sink append (durable), THEN offset commit. The
-        crash window between the two is covered by the sink-derived dedupe
-        index.
-        """
-        msgs = self.broker.poll(self.group, turbine, self.max_batch)
-        if not msgs:
+    def _drain_round(self) -> int:
+        """Poll each turbine not in backoff once, in sorted order, append the
+        round's notifications in one fsynced write (one wake-up of /stream),
+        THEN commit each turbine; the sink-derived dedupe index covers a crash
+        in between. Returns messages committed. A StorageFailure backs off
+        its turbine; anything else propagates."""
+        polled: list[list[Message]] = []
+        for turbine in sorted(self.models):
+            if self._stop.is_set():
+                break
+            if time.monotonic() < self._not_before.get(turbine, 0.0):
+                continue
+            try:
+                msgs = self.broker.poll(self.group, turbine, self.max_batch)
+            except StorageFailure:
+                self._back_off(turbine)
+                continue
+            if msgs:
+                polled.append(msgs)
+            else:
+                self._backoff.pop(turbine, None)
+        if not polled:
             return 0
-        notifications: list[PredictionNotification] = []
+        lines: list[str] = []
         dead: list[str] = []
-        pending: set[tuple[str, int]] = set()
-        for msg in msgs:
+        keys: set[tuple[str, int]] = set()
+        for msg in (msg for msgs in polled for msg in msgs):
             try:
                 result = self.process_message(msg)
             except (FatalStorageFailure, StorageFailure):
@@ -326,84 +351,70 @@ class MonitoringAgent:
             except Exception as exc:  # contain any handler failure to its message
                 error = str(exc) if isinstance(exc, MalformedPayload) else f"handler failure: {exc!r}"
                 dead.append(json.dumps({
-                    "turbine": turbine,
+                    "turbine": msg.topic,
                     "offset": msg.offset,
                     "error": error,
                     "payload": msg.payload.decode("utf-8", errors="replace"),
                     "quarantined_at": time.time(),
                 }, sort_keys=True))
                 continue
-            if isinstance(result, Skip):
+            # process_message skips earlier rounds' keys (in _seen), this the round's
+            if isinstance(result, Skip) or (msg.topic, result.t) in keys:
                 self._bump("duplicates_skipped")
                 continue
-            # process_message has already skipped keys in _seen; this catches
-            # a record repeated within the batch
-            key = (turbine, result.t)
-            if key in pending:
-                self._bump("duplicates_skipped")
-                continue
-            pending.add(key)
-            notifications.append(result)
+            keys.add((msg.topic, result.t))
+            lines.append(result.to_json_line())
         if dead:
             self.dead_letter.append_lines(dead)
             self._bump("dead_lettered", len(dead))
-        self.sink.append_lines([n.to_json_line() for n in notifications])
-        self._seen.update(pending)
-        self.broker.commit(self.group, turbine, msgs[-1].offset + 1)
-        self._bump("processed", len(msgs))
-        self._bump("notifications", len(notifications))
-        return len(msgs)
+        self.sink.append_lines(lines)
+        self._seen.update(keys)
+        self._bump("notifications", len(lines))
+        handled = 0
+        for msgs in polled:
+            turbine = msgs[0].topic
+            try:
+                self.broker.commit(self.group, turbine, msgs[-1].offset + 1)
+            except StorageFailure:
+                self._back_off(turbine)
+                continue
+            self._backoff.pop(turbine, None)
+            self._bump("processed", len(msgs))
+            handled += len(msgs)
+        return handled
 
     def process_available(self) -> int:
-        """Synchronously drain every turbine topic until quiescent."""
+        """Synchronously drain every turbine topic until a round handles
+        nothing. A turbine in backoff is left for a later call."""
         total = 0
-        progressed = True
-        while progressed:
-            progressed = False
-            for turbine in sorted(self.models):
-                n = self._drain_turbine(turbine)
-                total += n
-                progressed = progressed or n > 0
+        while handled := self._drain_round():
+            total += handled
         return total
 
-    # -- supervision -----------------------------------------------------------
+    # -- consumer thread -------------------------------------------------------
 
-    def _supervise_turbine(self, turbine: str) -> None:
-        backoff = self.backoff_initial
-        while not self._stop.is_set():
-            try:
-                handled = self._drain_turbine(turbine)
-                self._degraded_turbines.discard(turbine)
-                backoff = self.backoff_initial
-                if handled == 0:
+    def _consume(self) -> None:
+        try:
+            while not self._stop.is_set():
+                if self._drain_round() == 0:
                     self._stop.wait(self.idle_poll_interval)
-            except FatalStorageFailure as exc:
-                self.fatal_error = str(exc)
-                self._status = STOPPED
-                self._stop.set()
-                return
-            except Exception:
-                self._degraded_turbines.add(turbine)
-                self._bump("backoffs")
-                self._stop.wait(backoff)
-                backoff = min(backoff * 2.0, self.backoff_max)
+        except Exception as exc:
+            self.fatal_error = f"{type(exc).__name__}: {exc}"
+            self._stop.set()
 
     def run_threaded(self) -> None:
-        """One consumer thread per turbine; call stop() to halt."""
-        if self._threads:
+        """Start the one consumer thread, ``agent-loop``: it repeats the round
+        of ``process_available``, waiting ``idle_poll_interval`` after one that
+        handled nothing, until stop(). Backoff and what stops the agent: see
+        the module docstring."""
+        if self._thread is not None:
             raise RuntimeError("agent already running")
         self._stop.clear()
-        for turbine in sorted(self.models):
-            thread = threading.Thread(
-                target=self._supervise_turbine, args=(turbine,),
-                name=f"agent-{turbine}", daemon=True)
-            self._threads.append(thread)
-            thread.start()
+        self._thread = threading.Thread(target=self._consume, name="agent-loop", daemon=True)
+        self._thread.start()
 
     def stop(self) -> None:
         self._stop.set()
-        for thread in self._threads:
-            thread.join(timeout=10.0)
-        self._threads = []
-        if self._status != STOPPED:
-            self._status = STOPPED
+        if self._thread is not None:
+            self._thread.join(timeout=10.0)
+            self._thread = None

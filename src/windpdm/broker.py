@@ -122,16 +122,7 @@ class Broker:
 
     def _load_topic(self, name: str) -> _TopicState:
         state = _TopicState(name, self.root)
-        for seg in state.segment_files():
-            frames, end = _scan_segment(seg, truncate_torn=self.writable)
-            for offset, _ts, _payload, pos in frames:
-                if offset != state.next_offset:
-                    raise StorageFailure(
-                        f"topic {name}: offset {offset} at {seg} breaks contiguity "
-                        f"(expected {state.next_offset})")
-                state.index.append((seg, pos))
-                state.next_offset += 1
-            state.scan_pos[seg] = end
+        self._refresh_index(state, truncate_torn=self.writable)
         self._topics[name] = state
         return state
 
@@ -198,36 +189,29 @@ class Broker:
 
     # -- consuming --------------------------------------------------------------
 
-    def _refresh_index(self, state: _TopicState) -> None:
+    def _refresh_index(self, state: _TopicState, truncate_torn: bool = False) -> None:
         """Pick up frames appended since the last scan (possibly by another
-        process), resuming from the stored byte positions. An offset anomaly
-        triggers a full topic rebuild."""
+        process), resuming from the stored byte positions. A frame that breaks
+        offset contiguity raises StorageFailure and is never indexed, nor is
+        anything after it."""
         with state.lock:
             try:
                 for seg in state.segment_files():
                     pos = state.scan_pos.get(seg, 0)
                     if seg.stat().st_size <= pos:
                         continue
-                    frames, end = _scan_segment(seg, truncate_torn=False, start_pos=pos)
+                    frames, end = _scan_segment(seg, truncate_torn, start_pos=pos)
                     for offset, _ts, _payload, start in frames:
                         if offset != state.next_offset:
+                            state.scan_pos[seg] = start
                             raise StorageFailure(
-                                f"topic {state.name}: offset {offset} breaks contiguity")
+                                f"topic {state.name}: offset {offset} at {seg} breaks contiguity "
+                                f"(expected {state.next_offset})")
                         state.index.append((seg, start))
                         state.next_offset += 1
                     state.scan_pos[seg] = end
-            except StorageFailure:
-                state.index = []
-                state.scan_pos = {}
-                state.next_offset = 0
-                for seg in state.segment_files():
-                    frames, end = _scan_segment(seg, truncate_torn=False)
-                    for offset, _ts, _payload, start in frames:
-                        if offset != state.next_offset:
-                            break
-                        state.index.append((seg, start))
-                        state.next_offset += 1
-                    state.scan_pos[seg] = end
+            except OSError as exc:
+                raise StorageFailure(f"topic {state.name}: scan failed: {exc}") from exc
 
     def _offset_file(self, state: _TopicState, group: str) -> Path:
         return state.offsets_dir / f"{group}.offset"
@@ -235,9 +219,12 @@ class Broker:
     def committed_offset(self, group: str, topic: str) -> int:
         state = self._state(topic)
         path = self._offset_file(state, group)
-        if not path.exists():
+        try:
+            text = path.read_text(encoding="utf-8").strip()
+        except FileNotFoundError:
             return 0
-        text = path.read_text(encoding="utf-8").strip()
+        except OSError as exc:
+            raise StorageFailure(f"reading {path} failed: {exc}") from exc
         return int(text) if text else 0
 
     def poll(self, group: str, topic: str, max_batch: int = 256) -> list[Message]:
@@ -251,11 +238,14 @@ class Broker:
             wanted = [(off, state.index[off]) for off in range(start, end)]
         out = []
         for off, (seg, pos) in wanted:
-            with open(seg, "rb") as fh:
-                fh.seek(pos)
-                header = fh.read(_FRAME_HEADER.size)
-                length, crc, offset, ts = _FRAME_HEADER.unpack(header)
-                payload = fh.read(length)
+            try:
+                with open(seg, "rb") as fh:
+                    fh.seek(pos)
+                    header = fh.read(_FRAME_HEADER.size)
+                    length, crc, offset, ts = _FRAME_HEADER.unpack(header)
+                    payload = fh.read(length)
+            except (OSError, struct.error) as exc:
+                raise StorageFailure(f"reading frame at {seg}:{pos} failed: {exc}") from exc
             if zlib.crc32(payload) != crc or offset != off:
                 raise StorageFailure(f"frame at {seg}:{pos} failed validation")
             out.append(Message(topic, offset, ts, payload))

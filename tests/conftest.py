@@ -1,3 +1,6 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,23 @@ from windpdm.ingest import TurbineStore
 from windpdm.timeutil import parse_rfc3339
 
 T0 = parse_rfc3339("2015-01-01T00:00:00Z")
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_agent_threads():
+    """Fail a test that leaves an agent consumer thread running: it would go
+    on polling into the tests after it."""
+    before = set(threading.enumerate())
+    yield
+    deadline = time.monotonic() + 2.0
+    leaked = []
+    for thread in set(threading.enumerate()) - before:
+        if thread.name.startswith("agent-"):
+            thread.join(max(0.0, deadline - time.monotonic()))
+            if thread.is_alive():
+                leaked.append(thread.name)
+    if leaked:
+        pytest.fail(f"agent threads still alive 2 s after the test: {leaked}")
 
 
 @pytest.fixture

@@ -29,8 +29,9 @@ class SimulatedCrash(BaseException):
 class FaultyBroker:
     """Broker wrapper that injects faults around the real broker's calls.
 
-    * ``pause_for(ms)``: poll and commit raise StorageFailure until the
-      window passes. Publishes keep landing, as the turbines keep sending.
+    * ``pause_for(ms, topics=None)``: poll and commit raise StorageFailure
+      until the window passes, on the given topics or, by default, on all.
+      Publishes keep landing, as the turbines keep sending.
     * ``failpoint(stage)``: called with ``"poll"`` before each poll and with
       ``"after_commit"`` after each commit; raise SimulatedCrash from it to
       kill the consumer at that point.
@@ -43,16 +44,19 @@ class FaultyBroker:
         self.failpoint = failpoint
         self.published = 0
         self._paused_until = 0.0
+        self._paused_topics = None
         self._publish_hooks = {}
 
-    def pause_for(self, ms: float) -> None:
+    def pause_for(self, ms: float, topics=None) -> None:
         self._paused_until = time.monotonic() + ms / 1000.0
+        self._paused_topics = None if topics is None else set(topics)
 
     def after_publish(self, k: int, hook) -> None:
         self._publish_hooks[k] = hook
 
-    def _check(self):
-        if time.monotonic() < self._paused_until:
+    def _check(self, topic):
+        paused = self._paused_topics is None or topic in self._paused_topics
+        if paused and time.monotonic() < self._paused_until:
             raise StorageFailure("broker unavailable (simulated pause)")
 
     def _fire(self, stage: str) -> None:
@@ -68,12 +72,12 @@ class FaultyBroker:
         return offset
 
     def poll(self, group, topic, max_batch=256):
-        self._check()
+        self._check(topic)
         self._fire("poll")
         return self.inner.poll(group, topic, max_batch)
 
     def commit(self, group, topic, offset):
-        self._check()
+        self._check(topic)
         self.inner.commit(group, topic, offset)
         self._fire("after_commit")
 

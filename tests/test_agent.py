@@ -195,6 +195,27 @@ class TestCrashRecovery:
         lines = (tmp / "sink" / SINK_FILENAME).read_text().splitlines()
         assert len(lines) == 2
 
+    def test_round_appends_once_then_commits_each_turbine(self, rig):
+        agent, broker, _, tmp = rig
+        for turbine in ("T1", "T2"):
+            broker.publish(turbine, row_payload(T0))
+            broker.publish(turbine, row_payload(T0 + 600))
+        events = []
+
+        def record(stage):
+            events.append(stage)
+
+        install_failpoint(agent, record)
+        agent.max_batch = 2
+        assert agent.process_available() == 4
+        # one fsynced write for the whole round, and no offset committed before it
+        assert [e for e in events if e != "poll"] == [
+            "before_sink_append", "after_sink_append", "after_commit", "after_commit"]
+        lines = (tmp / "sink" / SINK_FILENAME).read_text().splitlines()
+        assert [json.loads(l)["turbine"] for l in lines] == ["T1", "T1", "T2", "T2"]
+        assert broker.committed_offset(agent.group, "T1") == 2
+        assert broker.committed_offset(agent.group, "T2") == 2
+
     def test_restart_resumes_from_committed_offset(self, rig, manifest):
         agent, broker, _, tmp = rig
         for i in range(3):
@@ -262,6 +283,83 @@ class TestSupervision:
         assert saw_degraded
         assert agent.counters["notifications"] == 4
         assert agent.counters["backoffs"] >= 1
+
+    def test_paused_topic_does_not_stall_the_others(self, tmp_path, manifest):
+        models_dir = tmp_path / "models"
+        make_models(models_dir, manifest.turbines)
+        inner = Broker(tmp_path / "broker")
+        flaky = FaultyBroker(inner)
+        agent = MonitoringAgent.start(
+            models_dir, flaky, list(manifest.turbines), tmp_path / "sink", manifest,
+            idle_poll_interval=0.005, backoff_initial=0.02, backoff_max=0.1)
+        sink_file = tmp_path / "sink" / SINK_FILENAME
+
+        def notified(turbine):
+            return sum(json.loads(l)["turbine"] == turbine for l in sink_file.read_text().splitlines())
+
+        for i in range(3):
+            inner.publish("T1", row_payload(T0 + i * 600))
+        flaky.pause_for(2000, topics={"T1"})
+        pause_ends = time.monotonic() + 2.0
+        agent.run_threaded()
+        try:
+            for i in range(3):
+                inner.publish("T2", row_payload(T0 + i * 600))
+            while time.monotonic() < pause_ends and notified("T2") < 3:
+                time.sleep(0.01)
+            status_while_paused = agent.status
+            t1_while_paused = notified("T1")
+            assert time.monotonic() < pause_ends, "T2 did not flow while T1 was paused"
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and agent.counters["notifications"] < 6:
+                time.sleep(0.02)
+            status_after = agent.status
+        finally:
+            agent.stop()
+        assert status_while_paused == "Degraded"
+        assert t1_while_paused == 0
+        assert notified("T1") == 3
+        assert status_after == READY
+
+    def test_programming_error_stops_agent(self, rig, monkeypatch):
+        agent, _, _, _ = rig
+
+        def broken_poll(group, topic, max_batch=256):
+            raise TypeError("boom")
+
+        monkeypatch.setattr(agent.broker, "poll", broken_poll)
+        agent.run_threaded()
+        try:
+            deadline = time.time() + 5.0
+            while time.time() < deadline and agent.status != STOPPED:
+                time.sleep(0.01)
+            health = agent.health()
+        finally:
+            agent.stop()
+        assert health["status"] == STOPPED
+        assert "TypeError" in health["fatal_error"] and "boom" in health["fatal_error"]
+        assert agent.counters["backoffs"] == 0
+
+    @pytest.mark.parametrize("n_turbines", [1, 17])
+    def test_one_consumer_thread_for_any_fleet(self, tmp_path, n_turbines):
+        turbines = [f"T{i:02d}" for i in range(1, n_turbines + 1)]
+        manifest = Manifest(parameters=["wind_speed", "rotor_rpm", "power_kw", "gen_temp"],
+                            alarms=["GOverSpMax"], turbines=turbines)
+        make_models(tmp_path / "models", turbines)
+        agent = MonitoringAgent.start(tmp_path / "models", Broker(tmp_path / "broker"),
+                                      turbines, tmp_path / "sink", manifest)
+
+        def agent_threads():
+            return [t.name for t in threading.enumerate() if t.name.startswith("agent-")]
+
+        agent.run_threaded()
+        try:
+            assert len(agent_threads()) == 1
+            with pytest.raises(RuntimeError):
+                agent.run_threaded()
+        finally:
+            agent.stop()
+        assert agent_threads() == []
 
     def test_sink_failure_stops_agent_with_status(self, rig, monkeypatch):
         agent, broker, _, _ = rig

@@ -1,7 +1,10 @@
+import os
+import zlib
+
 import numpy as np
 import pytest
 
-from windpdm.broker import Broker
+from windpdm.broker import _FRAME_HEADER, Broker
 from windpdm.errors import OffsetAhead, StorageFailure, TopicExists, UnknownTopic
 
 
@@ -167,6 +170,27 @@ class TestDurabilityEdgeCases:
         reopened = Broker(tmp_path / "b", max_segment_bytes=64)
         msgs = reopened.poll("g", "T1", 100)
         assert [m.payload.decode() for m in msgs] == [f"payload-{i:02d}" for i in range(12)]
+
+
+    def test_offset_gap_behind_live_broker_raises(self, tmp_path):
+        broker = Broker(tmp_path / "b")
+        broker.create_topic("T1")
+        for i in range(3):
+            broker.publish("T1", f"m{i}".encode())
+        seg = next((tmp_path / "b" / "T1" / "segments").iterdir())
+        good_size = seg.stat().st_size
+        # a well-formed frame whose offset skips ahead of the log's next one
+        payload = b"stray"
+        with open(seg, "ab") as fh:
+            fh.write(_FRAME_HEADER.pack(len(payload), zlib.crc32(payload), 7, 0.0) + payload)
+        with pytest.raises(StorageFailure, match="offset 7"):
+            broker.poll("g", "T1", 10)
+        with pytest.raises(StorageFailure, match="offset 7"):
+            broker.message_count("T1")
+        # nothing was dropped: once the stray frame is cut off, all three remain
+        os.truncate(seg, good_size)
+        assert broker.message_count("T1") == 3
+        assert [m.payload for m in broker.poll("g", "T1", 10)] == [b"m0", b"m1", b"m2"]
 
 
 class TestAtLeastOnceHarness:
