@@ -23,6 +23,7 @@ included, stops the agent and names its cause in ``fatal_error``.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import threading
@@ -47,6 +48,7 @@ from .timeutil import format_rfc3339, parse_rfc3339
 
 SINK_FILENAME = "notifications.jsonl"
 DEAD_LETTER_FILENAME = "dead_letter.jsonl"
+_READ_BYTES = 1 << 20  # block size of the sink's byte reads; a follower finishes a line it cuts
 
 READY = "Ready"
 DEGRADED = "Degraded"
@@ -91,8 +93,12 @@ class Skip:
 class NotificationSink:
     """Append-only JSONL file; appends are fsynced before returning.
 
-    Appends are serialized by a lock; followers (the streaming endpoint)
-    wait on ``condition`` and read with ``read_lines``.
+    Appends are serialized by a lock and advance ``length``, the byte length
+    of the whole lines written, under it. ``follow`` replaces ``read_lines``
+    as the followers' API: a follower (the streaming endpoint) finds where
+    line N starts with ``line_offset`` once, then calls ``follow`` for the
+    bytes appended since. A torn last line, left by a crash inside an
+    append, is cut off on open.
     """
 
     def __init__(self, path: Path):
@@ -101,28 +107,90 @@ class NotificationSink:
         self.path.touch(exist_ok=True)
         self.lock = threading.Lock()
         self.condition = threading.Condition(self.lock)
+        self.length = _truncate_torn_line(self.path)
 
     def append_lines(self, lines: list[str]) -> None:
         if not lines:
             return
-        data = "".join(line + "\n" for line in lines)
+        data = "".join(line + "\n" for line in lines).encode("utf-8")
         try:
             with self.condition:
-                with open(self.path, "a", encoding="utf-8") as fh:
+                with open(self.path, "ab") as fh:
                     fh.write(data)
                     fh.flush()
                     os.fsync(fh.fileno())
+                self.length += len(data)
                 self.condition.notify_all()
         except OSError as exc:
             raise FatalStorageFailure(f"sink {self.path} unwritable: {exc}") from exc
 
+    def follow(self, pos: int, timeout: float) -> tuple[int, bytes]:
+        """Whole lines appended since byte offset ``pos`` (about
+        ``_READ_BYTES`` of them at most) and the offset after them. Waits up to
+        ``timeout`` s only if none are there yet: the check is made under the
+        lock, so an append landing while the caller was busy is never missed."""
+        with self.condition:
+            if self.length == pos:
+                self.condition.wait(timeout)
+            end = self.length
+        if end == pos:
+            return pos, b""
+        with open(self.path, "rb") as fh:
+            fh.seek(pos)
+            data = fh.read(min(end - pos, _READ_BYTES))
+            if not data.endswith(b"\n"):  # the cap cut a line: finish it
+                data += fh.readline()
+        return pos + len(data), data
+
+    def line_offset(self, n: int) -> tuple[int, int]:
+        """Byte offset where line ``n`` starts, by one scan for newlines, and
+        how many lines short of ``n`` the sink is (the offset is then its end)."""
+        with self.condition:
+            end = self.length
+        pos = 0
+        with open(self.path, "rb") as fh:
+            while n and pos < end:
+                block = fh.read(min(end - pos, _READ_BYTES))
+                count = block.count(b"\n")
+                if count >= n:  # the piece after the n-th newline starts line n
+                    return pos + len(block) - len(block.split(b"\n", n)[n]), 0
+                n -= count
+                pos += len(block)
+        return pos, n
+
+    def _iter_lines(self):
+        """The whole lines of the file, lazily, without their newline."""
+        with open(self.path, "r", encoding="utf-8", newline="\n") as fh:
+            for line in fh:
+                if line.endswith("\n"):
+                    yield line[:-1]
+
     def read_lines(self, start: int = 0) -> list[str]:
-        with open(self.path, "r", encoding="utf-8") as fh:
-            lines = [line.rstrip("\n") for line in fh if line.endswith("\n")]
-        return lines[start:]
+        return list(itertools.islice(self._iter_lines(), start, None))
 
     def line_count(self) -> int:
-        return len(self.read_lines())
+        return sum(1 for _ in self._iter_lines())
+
+
+def _truncate_torn_line(path: Path) -> int:
+    """Cut the bytes after the file's last newline, found by reading back
+    from the end, and return the length that is left."""
+    with open(path, "rb+") as fh:
+        size = end = fh.seek(0, os.SEEK_END)
+        keep = 0
+        while end > 0:
+            start = max(0, end - _READ_BYTES)
+            fh.seek(start)
+            cut = fh.read(end - start).rfind(b"\n")
+            if cut >= 0:
+                keep = start + cut + 1
+                break
+            end = start
+        if keep < size:
+            fh.truncate(keep)
+            fh.flush()
+            os.fsync(fh.fileno())
+    return keep
 
 
 def bundle_path(models_dir: Path, turbine_id: str, horizon_minutes: int) -> Path:
@@ -209,7 +277,7 @@ class MonitoringAgent:
                         f"bundle ({turbine}, {h}) uses a feature missing from the manifest: {exc}")
         # dedupe index rebuilt from the sink: the sink is the durable record
         self._seen: set[tuple[str, int]] = set()
-        for line in sink.read_lines():
+        for line in sink._iter_lines():
             try:
                 doc = json.loads(line)
                 self._seen.add((doc["turbine"], parse_rfc3339(doc["t"])))

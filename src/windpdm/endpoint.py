@@ -5,7 +5,9 @@
 * ``GET /stream?from=N`` replays the notification sink from line N as
   newline-delimited JSON and keeps the connection open, pushing every new
   notification as it lands, until the client disconnects or the server
-  stops. This is the push channel consumers subscribe to.
+  stops. This is the push channel consumers subscribe to. Line N is found
+  by one scan when the client connects; after that the handler keeps a byte
+  offset into the sink and reads only the whole lines appended past it.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 from .agent import MonitoringAgent
+
+_WAIT_S = 0.25  # longest wait for an append, so stop() ends handlers promptly
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -52,29 +56,30 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _serve_stream(self, start: int):
+        sink = self.agent.sink
+        # one scan per connection; line `start` may not exist yet, and then
+        # the stream skips the lines still missing before it
+        pos, skip = sink.line_offset(start)
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Transfer-Encoding", "chunked")
         self.end_headers()
-        sink = self.agent.sink
-        sent = start
         try:
             while not self.stopping.is_set():
-                lines = sink.read_lines(sent)
-                for line in lines:
-                    self._write_chunk(line + "\n")
-                sent += len(lines)
-                with sink.condition:
-                    sink.condition.wait(timeout=0.25)
-            self._write_chunk("")
+                pos, data = sink.follow(pos, timeout=_WAIT_S)
+                while skip and data:
+                    data = data[data.index(b"\n") + 1:]
+                    skip -= 1
+                if data:
+                    self._write_chunk(data)
+            self._write_chunk(b"")
             # end the keep-alive connection too, or this handler thread
             # outlives stop() waiting for the client's next request
             self.close_connection = True
         except (BrokenPipeError, ConnectionResetError):
             pass
 
-    def _write_chunk(self, text: str):
-        data = text.encode("utf-8")
+    def _write_chunk(self, data: bytes):
         self.wfile.write(f"{len(data):X}\r\n".encode("ascii") + data + b"\r\n")
         self.wfile.flush()
 

@@ -1,5 +1,6 @@
 import http.client
 import json
+import sys
 import threading
 import time
 import urllib.request
@@ -466,6 +467,74 @@ class TestEndpoint:
         finally:
             conn.close()
 
+    @pytest.mark.parametrize("start, history, appended, expected", [
+        (1, ["l0", "l1", "l2"], ["l3"], ["l1", "l2", "l3"]),  # in the middle
+        (3, ["l0", "l1", "l2"], ["l3", "l4"], ["l3", "l4"]),  # at the end
+        (4, ["l0", "l1"], ["l2", "l3", "l4", "l5"], ["l4", "l5"]),  # past the end
+    ])
+    def test_stream_from_line(self, rig, start, history, appended, expected):
+        agent, _, _, _ = rig
+        agent.sink.append_lines(history)
+        endpoint = AgentEndpoint(agent, port=0)
+        endpoint.start()
+        host, port = endpoint.address
+        try:
+            resp = urllib.request.urlopen(f"http://{host}:{port}/stream?from={start}", timeout=5)
+            for line in appended:  # one append each: skipped lines span reads
+                agent.sink.append_lines([line])
+            got = [resp.readline().decode().rstrip("\n") for _ in expected]
+            resp.close()
+        finally:
+            endpoint.stop()
+        assert got == expected
+
+    def test_stream_non_ascii_lines_intact(self, rig):
+        agent, _, _, _ = rig
+        wide = '{"note": "Ærøskøbing – 風車 ✓"}'
+        agent.sink.append_lines([wide, "after"])
+        endpoint = AgentEndpoint(agent, port=0)
+        endpoint.start()
+        host, port = endpoint.address
+        try:
+            resp = urllib.request.urlopen(f"http://{host}:{port}/stream?from=0", timeout=5)
+            tail = urllib.request.urlopen(f"http://{host}:{port}/stream?from=1", timeout=5)
+            agent.sink.append_lines([wide, "last"])
+            got = [resp.readline().decode("utf-8").rstrip("\n") for _ in range(4)]
+            got_tail = [tail.readline().decode("utf-8").rstrip("\n") for _ in range(3)]
+            resp.close()
+            tail.close()
+        finally:
+            endpoint.stop()
+        assert got == [wide, "after", wide, "last"]
+        assert got_tail == ["after", wide, "last"]
+
+    def test_stream_delivers_concurrent_appends_once_in_order(self, rig):
+        agent, _, _, _ = rig
+        endpoint = AgentEndpoint(agent, port=0)
+        endpoint.start()
+        host, port = endpoint.address
+        # 500 appends from more writer threads than cores, switching often
+        per_writer = {w: [f"w{w}-{i}" for i in range(125)] for w in range(4)}
+        writers = [threading.Thread(target=lambda lines=lines: [agent.sink.append_lines([x]) for x in lines])
+                   for lines in per_writer.values()]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            resp = urllib.request.urlopen(f"http://{host}:{port}/stream?from=0", timeout=5)
+            for writer in writers:
+                writer.start()
+            got = [resp.readline().decode().rstrip("\n") for _ in range(500)]
+            for writer in writers:
+                writer.join(timeout=10)
+            resp.close()
+        finally:
+            sys.setswitchinterval(interval)
+            endpoint.stop()
+        assert not any(writer.is_alive() for writer in writers)
+        assert got == agent.sink.read_lines()
+        for w, lines in per_writer.items():
+            assert [x for x in got if x.startswith(f"w{w}-")] == lines
+
     def test_unknown_path_404(self, rig):
         agent, _, _, _ = rig
         endpoint = AgentEndpoint(agent, port=0)
@@ -487,6 +556,73 @@ class TestSink:
         assert sink.read_lines() == ["one", "two", "three"]
         assert sink.read_lines(2) == ["three"]
         assert sink.line_count() == 3
+
+    def test_torn_tail_cut_on_open(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        whole = json.dumps({"turbine": "T1", "t": "2015-01-01T00:00:00Z"})
+        path.write_text(whole + "\n" + '{"turbine": "T1", "t": "2015-01-0', encoding="utf-8")
+        sink = NotificationSink(path)
+        sink.append_lines([json.dumps({"turbine": "T1", "t": "2015-01-01T00:10:00Z"})])
+        lines = sink.read_lines()
+        assert [json.loads(line)["t"] for line in lines] == [
+            "2015-01-01T00:00:00Z", "2015-01-01T00:10:00Z"]
+        assert sink.length == path.stat().st_size
+
+    def test_agent_start_cuts_torn_tails_of_both_sinks(self, rig, manifest):
+        agent, broker, _, tmp = rig
+        broker.publish("T1", row_payload(T0))
+        agent.process_available()
+        for name in (SINK_FILENAME, DEAD_LETTER_FILENAME):
+            with open(tmp / "sink" / name, "ab") as fh:
+                fh.write(b'{"turbine": "T1", "t": "2015-01-0')
+        restarted = MonitoringAgent.start(
+            tmp / "models", broker, list(manifest.turbines), tmp / "sink", manifest)
+        assert restarted.sink.line_count() == 1
+        assert restarted.dead_letter.line_count() == 0
+        for name in (SINK_FILENAME, DEAD_LETTER_FILENAME):
+            data = (tmp / "sink" / name).read_bytes()
+            assert data == b"" or data.endswith(b"\n")
+
+    def test_follow_returns_at_once_when_sink_is_ahead(self, tmp_path):
+        sink = NotificationSink(tmp_path / "s.jsonl")
+        sink.append_lines(["one"])
+        pos = sink.length
+        sink.append_lines(["two", "three"])  # lands before the follower waits
+        begin = time.monotonic()
+        end, data = sink.follow(pos, timeout=5)
+        assert time.monotonic() - begin < 1.0
+        assert data == b"two\nthree\n"
+        assert end == sink.length
+
+    def test_follow_waits_for_an_append(self, tmp_path):
+        sink = NotificationSink(tmp_path / "s.jsonl")
+        assert sink.follow(0, timeout=0.01) == (0, b"")
+        timer = threading.Timer(0.05, sink.append_lines, [["late"]])
+        timer.start()
+        try:
+            assert sink.follow(0, timeout=5) == (5, b"late\n")
+        finally:
+            timer.join()
+
+    def test_follow_reads_whole_lines_in_bounded_pieces(self, tmp_path):
+        sink = NotificationSink(tmp_path / "s.jsonl")
+        lines = ["x" * (3 << 20)] + [f"{i:07d}" * 40 for i in range(20000)] + ["ü" * 10]
+        sink.append_lines(lines)
+        pos, pieces = 0, []
+        while pos < sink.length:
+            pos, data = sink.follow(pos, timeout=0)
+            assert data.endswith(b"\n")
+            pieces.append(data)
+        assert len(pieces) > 2
+        assert b"".join(pieces).decode("utf-8").split("\n")[:-1] == lines
+
+    def test_line_offset_counts_bytes(self, tmp_path):
+        sink = NotificationSink(tmp_path / "s.jsonl")
+        sink.append_lines(["ä€", "b"])
+        assert sink.line_offset(0) == (0, 0)
+        assert sink.line_offset(1) == (len("ä€\n".encode()), 0)
+        assert sink.line_offset(2) == (sink.length, 0)
+        assert sink.line_offset(5) == (sink.length, 3)
 
     def test_skip_dataclass(self):
         assert Skip("duplicate").reason == "duplicate"
