@@ -98,7 +98,8 @@ class NotificationSink:
     as the followers' API: a follower (the streaming endpoint) finds where
     line N starts with ``line_offset`` once, then calls ``follow`` for the
     bytes appended since. A torn last line, left by a crash inside an
-    append, is cut off on open.
+    append, is cut off on open; the bytes of an append that failed in this
+    process are overwritten by the next one.
     """
 
     def __init__(self, path: Path):
@@ -115,8 +116,12 @@ class NotificationSink:
         data = "".join(line + "\n" for line in lines).encode("utf-8")
         try:
             with self.condition:
-                with open(self.path, "ab") as fh:
+                # write at ``length``, not at the file's end, and cut what is
+                # past it: bytes a failed append left behind are overwritten
+                with open(self.path, "r+b") as fh:
+                    fh.seek(self.length)
                     fh.write(data)
+                    fh.truncate()
                     fh.flush()
                     os.fsync(fh.fileno())
                 self.length += len(data)

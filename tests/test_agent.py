@@ -1,5 +1,6 @@
 import http.client
 import json
+import os
 import sys
 import threading
 import time
@@ -468,11 +469,11 @@ class TestEndpoint:
             conn.close()
 
     @pytest.mark.parametrize("start, history, appended, expected", [
-        (1, ["l0", "l1", "l2"], ["l3"], ["l1", "l2", "l3"]),  # in the middle
         (3, ["l0", "l1", "l2"], ["l3", "l4"], ["l3", "l4"]),  # at the end
         (4, ["l0", "l1"], ["l2", "l3", "l4", "l5"], ["l4", "l5"]),  # past the end
     ])
     def test_stream_from_line(self, rig, start, history, appended, expected):
+        # from=N in the middle is test_stream_from_offset
         agent, _, _, _ = rig
         agent.sink.append_lines(history)
         endpoint = AgentEndpoint(agent, port=0)
@@ -567,6 +568,24 @@ class TestSink:
         assert [json.loads(line)["t"] for line in lines] == [
             "2015-01-01T00:00:00Z", "2015-01-01T00:10:00Z"]
         assert sink.length == path.stat().st_size
+
+    def test_failed_append_is_overwritten_by_the_next(self, tmp_path, monkeypatch):
+        sink = NotificationSink(tmp_path / "s.jsonl")
+        sink.append_lines(["one"])
+        real_fsync = os.fsync
+
+        def fail_once(fd):
+            monkeypatch.setattr(os, "fsync", real_fsync)
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(os, "fsync", fail_once)
+        with pytest.raises(FatalStorageFailure):
+            sink.append_lines(["two", "lost"])  # written, never acknowledged
+        assert sink.length == 4
+        sink.append_lines(["three"])
+        assert sink.follow(0, timeout=0) == (sink.length, b"one\nthree\n")
+        assert sink.length == (tmp_path / "s.jsonl").stat().st_size
+        assert sink.read_lines() == ["one", "three"]
 
     def test_agent_start_cuts_torn_tails_of_both_sinks(self, rig, manifest):
         agent, broker, _, tmp = rig
