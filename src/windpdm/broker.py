@@ -11,8 +11,11 @@ Guarantees (the contract the monitoring agent builds on):
 
 On-disk layout per topic: ``segments/<base-offset>.log`` files of
 length-prefixed, crc32-checksummed frames, plus ``offsets/<group>.offset``.
-A torn trailing frame (writer crash) is truncated on writer reopen; readers
-treat an incomplete or invalid tail frame as not-yet-published and retry.
+A topic has one publishing handle, which keeps the offsets and the end of
+its last acknowledged frame in memory. publish() writes at that end and cuts
+what lies past it, so a failed publish's bytes are overwritten by the retry.
+A torn trailing frame (writer crash) is cut on writer reopen; readers treat
+an incomplete or invalid tail frame as not-yet-published and retry.
 
 Appends to one topic are serialized by a lock; different topics, and
 poll/commit across groups, are independent. The intended deployment is one
@@ -21,7 +24,6 @@ publisher process and one consumer process per topic sharing the directory.
 
 from __future__ import annotations
 
-import os
 import re
 import struct
 import threading
@@ -30,6 +32,7 @@ import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
+from .durable import append_at, atomic_write, fsync_dir
 from .errors import OffsetAhead, StorageFailure, TopicExists, UnknownTopic
 
 _FRAME_HEADER = struct.Struct("<IIQd")  # payload len, crc32(payload), offset, publish ts
@@ -46,14 +49,6 @@ class Message:
     payload: bytes
 
 
-def _fsync_dir(path: Path) -> None:
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
 class _TopicState:
     def __init__(self, name: str, root: Path):
         self.name = name
@@ -64,7 +59,7 @@ class _TopicState:
         self.next_offset = 0
         # per offset: (segment path, byte position of frame start)
         self.index: list[tuple[Path, int]] = []
-        # byte position after the last complete frame scanned, per segment
+        # per segment: byte position after the last complete frame scanned or published
         self.scan_pos: dict[Path, int] = {}
 
     def segment_files(self) -> list[Path]:
@@ -97,10 +92,7 @@ def _scan_segment(path: Path, truncate_torn: bool, start_pos: int = 0):
             frames.append((offset, ts, payload, pos))
             pos += _FRAME_HEADER.size + length
     if truncate_torn and pos < size:
-        with open(path, "rb+") as fh:
-            fh.truncate(pos)
-            fh.flush()
-            os.fsync(fh.fileno())
+        append_at(path, pos, b"")
     return frames, pos
 
 
@@ -144,8 +136,8 @@ class Broker:
             state = _TopicState(name, self.root)
             state.segments_dir.mkdir(parents=True)
             state.offsets_dir.mkdir(parents=True)
-            _fsync_dir(state.dir)
-            _fsync_dir(self.root)
+            fsync_dir(state.dir)
+            fsync_dir(self.root)
             self._topics[name] = state
             return name
 
@@ -165,26 +157,23 @@ class Broker:
             offset = state.next_offset
             segment = self._active_segment(state)
             frame = _FRAME_HEADER.pack(len(payload), zlib.crc32(payload), offset, time.time()) + payload
+            pos = state.scan_pos.get(segment, 0)
             try:
-                with open(segment, "ab") as fh:
-                    pos = fh.tell()
-                    fh.write(frame)
-                    fh.flush()
-                    os.fsync(fh.fileno())
+                state.scan_pos[segment] = append_at(segment, pos, frame)
             except OSError as exc:
                 raise StorageFailure(f"append to {segment} failed: {exc}") from exc
             state.index.append((segment, pos))
-            state.scan_pos[segment] = pos + len(frame)
             state.next_offset += 1
             return offset
 
     def _active_segment(self, state: _TopicState) -> Path:
         segments = state.segment_files()
-        if segments and segments[-1].stat().st_size < self.max_segment_bytes:
+        # the acknowledged end, not the file size, which counts a failed publish
+        if segments and state.scan_pos.get(segments[-1], 0) < self.max_segment_bytes:
             return segments[-1]
         segment = state.segments_dir / f"{state.next_offset:020d}{SEGMENT_SUFFIX}"
         segment.touch()
-        _fsync_dir(state.segments_dir)
+        fsync_dir(state.segments_dir)
         return segment
 
     # -- consuming --------------------------------------------------------------
@@ -260,14 +249,8 @@ class Broker:
         if offset < 0:
             raise OffsetAhead(f"negative offset {offset}")
         path = self._offset_file(state, group)
-        tmp = path.with_suffix(".tmp")
         try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(str(offset))
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-            _fsync_dir(state.offsets_dir)
+            atomic_write(path, str(offset).encode())
         except OSError as exc:
             raise StorageFailure(f"commit to {path} failed: {exc}") from exc
 

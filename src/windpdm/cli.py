@@ -18,7 +18,6 @@ import os
 import signal
 import sys
 import threading
-import time
 import urllib.request
 from pathlib import Path
 
@@ -30,6 +29,7 @@ from . import synth as synth_mod
 from . import trainer as trainer_mod
 from .broker import Broker
 from .dataset import load_dataset
+from .durable import atomic_write
 from .endpoint import AgentEndpoint
 from .errors import DataError, RuntimeFailure, WindPdmError
 from .features import FeatureMatrix, select_parameters
@@ -215,8 +215,8 @@ def cmd_select_features(args, config) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / f"selection_{args.turbine}.txt").write_text(report.to_text(), encoding="utf-8")
-        (out / f"selection_{args.turbine}.json").write_text(report.to_json(), encoding="utf-8")
+        atomic_write(out / f"selection_{args.turbine}.txt", report.to_text().encode("utf-8"))
+        atomic_write(out / f"selection_{args.turbine}.json", report.to_json().encode("utf-8"))
     return 0
 
 
@@ -234,7 +234,7 @@ def cmd_mine_patterns(args, config) -> int:
     text = patterns_report(mined, args.turbine)
     print(text, end="")
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        atomic_write(args.out, text.encode("utf-8"))
     return 0
 
 

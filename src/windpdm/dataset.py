@@ -9,12 +9,14 @@ rebalancing), so the split is stratified per class.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .durable import atomic_write
 from .errors import EmptyDataset
 from .ingest import OperationalRecord
 from .patterns import ClassTimeline, HORIZONS_MINUTES
@@ -144,11 +146,11 @@ def stratified_split(d: HorizonDataset, train_fraction: float = 2.0 / 3.0, seed:
 def save_dataset(d: HorizonDataset, csv_path: Path) -> None:
     """Persist as CSV with a trailing label column plus a JSON sidecar."""
     csv_path = Path(csv_path)
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(d.feature_names) + ["label"])
-        for row, label in zip(d.features, d.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(list(d.feature_names) + ["label"])
+    writer.writerows([repr(float(v)) for v in row] + [int(label)] for row, label in zip(d.features, d.labels))
+    atomic_write(csv_path, buf.getvalue().encode("utf-8"))
     sidecar = {
         "turbine_id": d.turbine_id,
         "horizon_minutes": d.horizon_minutes,
@@ -158,7 +160,7 @@ def save_dataset(d: HorizonDataset, csv_path: Path) -> None:
         "dropped_out_of_range": d.dropped_out_of_range,
         "origins": [int(t) for t in d.origins],
     }
-    csv_path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2), encoding="utf-8")
+    atomic_write(csv_path.with_suffix(".json"), json.dumps(sidecar, indent=2).encode("utf-8"))
 
 
 def load_dataset(csv_path: Path) -> HorizonDataset:

@@ -1,0 +1,76 @@
+"""Every file write of windpdm. Logs (store, broker segments, sinks) are
+written by ``append_at`` at the length their owner acknowledged and cut back
+to their last whole entry on open, so a failed or torn append is never read
+back. Whole files (bundles, offsets, manifest, datasets, reports) are
+replaced by ``atomic_write``: a crash leaves the old file or the new one.
+"""
+
+from __future__ import annotations
+
+import os
+from pathlib import Path
+from typing import Iterator
+
+READ_BYTES = 1 << 20  # block size of log reads; a follower finishes a line it cuts
+
+
+def fsync_dir(path: Path) -> None:
+    """Make the directory's entries (files created, renamed) durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def append_at(path: Path, pos: int, data: bytes) -> int:
+    """Write ``data`` at byte ``pos`` of the existing file, cut what lies past
+    it, fsync, and return ``pos + len(data)``. ``pos`` is the acknowledged
+    length, so the bytes a failed append left behind are overwritten; empty
+    ``data`` cuts the file to ``pos``."""
+    with open(path, "r+b") as fh:
+        fh.seek(pos)
+        fh.write(data)
+        fh.truncate()
+        fh.flush()
+        os.fsync(fh.fileno())
+    return pos + len(data)
+
+
+def cut_torn_line(path: Path) -> int:
+    """Cut the bytes after the last newline (a line torn by a crash), found by
+    reading back from the end; return the length left. Creates a missing file."""
+    with open(path, "a+b") as fh:
+        size = end = fh.seek(0, os.SEEK_END)
+        keep = 0
+        while end > 0:
+            start = max(0, end - READ_BYTES)
+            fh.seek(start)
+            cut = fh.read(end - start).rfind(b"\n")
+            if cut >= 0:
+                keep = start + cut + 1
+                break
+            end = start
+    if keep < size:
+        append_at(path, keep, b"")
+    return keep
+
+
+def iter_lines(path: Path) -> Iterator[str]:
+    """The whole lines of a UTF-8 file, lazily, without their newline."""
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
+        for line in fh:
+            if line.endswith("\n"):
+                yield line[:-1]
+
+
+def atomic_write(path: Path, data: bytes) -> None:
+    """Write and fsync ``<name>.tmp``, rename it over ``path``, fsync the directory."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+    fsync_dir(path.parent)

@@ -10,19 +10,20 @@ Two record kinds, two append-only logs per turbine:
 The store keeps one directory per turbine holding ``operational.log`` and
 ``status.log`` (log lines are exactly the CSV data lines), with the manifest
 at the store root. Appends are fsynced before returning, so an acknowledged
-append survives a process kill; a torn trailing line (no LF) is discarded on
-reopen.
+append survives a process kill. An append writes at the acknowledged length,
+over what a failed one left; a torn trailing line (no LF) is cut, and the
+cut fsynced, when the writer first opens the log.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Union
 
+from .durable import append_at, cut_torn_line, iter_lines
 from .errors import (
     AlarmAlternationViolation,
     MalformedRow,
@@ -143,9 +144,10 @@ def parse_status_row(line: str, alarms: frozenset[str], turbine_id: str, lineno:
 class _LogState:
     """Mutable tail state of one log, rebuilt by scanning on open."""
 
-    __slots__ = ("last_ts", "active_alarms")
+    __slots__ = ("length", "last_ts", "active_alarms")
 
-    def __init__(self):
+    def __init__(self, length: int):
+        self.length = length  # bytes of whole lines acknowledged
         self.last_ts: int | None = None
         self.active_alarms: set[str] = set()
 
@@ -186,56 +188,32 @@ class TurbineStore:
             raise UnknownTurbine(f"turbine {turbine_id!r} not declared in manifest")
         return self.root / turbine_id / log_name
 
-    def _truncate_torn_tail(self, path: Path) -> None:
-        # A crash mid-append can leave a final line without LF; drop it.
-        if not path.exists():
-            return
-        size = path.stat().st_size
-        if size == 0:
-            return
-        with open(path, "rb+") as fh:
-            fh.seek(-1, os.SEEK_END)
-            if fh.read(1) == b"\n":
-                return
-            fh.seek(0)
-            data = fh.read()
-            cut = data.rfind(b"\n")
-            fh.truncate(cut + 1 if cut >= 0 else 0)
-
     def _state(self, turbine_id: str, log_name: str) -> _LogState:
         key = (turbine_id, log_name)
         state = self._states.get(key)
         if state is not None:
             return state
-        state = _LogState()
         path = self._log_path(turbine_id, log_name)
-        self._truncate_torn_tail(path)
-        if path.exists():
-            if log_name == OPERATIONAL_LOG:
-                for rec in self._iter_operational(path, turbine_id):
-                    state.last_ts = rec.timestamp
-            else:
-                for ev in self._iter_status(path, turbine_id):
-                    state.last_ts = ev.timestamp
-                    if ev.kind is EventKind.ACTIVATION:
-                        state.active_alarms.add(ev.alarm_code)
-                    else:
-                        state.active_alarms.discard(ev.alarm_code)
+        state = _LogState(cut_torn_line(path))
+        if log_name == OPERATIONAL_LOG:
+            for rec in self._iter_operational(path, turbine_id):
+                state.last_ts = rec.timestamp
+        else:
+            for ev in self._iter_status(path, turbine_id):
+                state.last_ts = ev.timestamp
+                if ev.kind is EventKind.ACTIVATION:
+                    state.active_alarms.add(ev.alarm_code)
+                else:
+                    state.active_alarms.discard(ev.alarm_code)
         self._states[key] = state
         return state
 
     def _iter_operational(self, path: Path, turbine_id: str) -> Iterator[OperationalRecord]:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if line.endswith("\n"):
-                    yield parse_operational_row(line.rstrip("\n"), self.manifest.parameters, turbine_id)
+        return (parse_operational_row(line, self.manifest.parameters, turbine_id) for line in iter_lines(path))
 
     def _iter_status(self, path: Path, turbine_id: str) -> Iterator[StatusEvent]:
         alarms = self.manifest.alarm_set
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if line.endswith("\n"):
-                    yield parse_status_row(line.rstrip("\n"), alarms, turbine_id)
+        return (parse_status_row(line, alarms, turbine_id) for line in iter_lines(path))
 
     # -- operations -----------------------------------------------------------
 
@@ -290,10 +268,7 @@ class TurbineStore:
 
         if accepted:
             payload = "".join(rec.to_csv_line() + "\n" for rec in accepted)
-            with open(path, "a", encoding="utf-8") as fh:
-                fh.write(payload)
-                fh.flush()
-                os.fsync(fh.fileno())
+            state.length = append_at(path, state.length, payload.encode("utf-8"))
             state.last_ts = last_ts
             state.active_alarms = active
         return len(accepted), warnings

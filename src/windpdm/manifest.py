@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .durable import atomic_write
 from .errors import DataError
 
 NAME_RE = re.compile(r"^[A-Za-z0-9_.+-]+$")
@@ -68,7 +69,7 @@ class Manifest:
         return "\n".join(lines) + "\n"
 
     def save(self, path: Path) -> None:
-        path.write_text(self.to_text(), encoding="utf-8")
+        atomic_write(path, self.to_text().encode("utf-8"))
 
 
 def parse_key_values(text: str) -> dict[str, str]:

@@ -11,6 +11,7 @@ None rather than 0.
 from __future__ import annotations
 
 import csv
+import io
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,6 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dataset import HorizonDataset, stratified_split
+from .durable import atomic_write
 from .errors import EmptyMatrix, LengthMismatch, UnknownLabel
 from .forest import predict_batch, train_forest
 from .patterns import NORMAL_CLASS
@@ -158,11 +160,11 @@ def grid_search(
 
 
 def write_grid_csv(g: GridResult, path: Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n_trees", "max_depth", "accuracy", "seconds"])
-        for c in g.cells:
-            writer.writerow([c.n_trees, c.max_depth, repr(c.accuracy), repr(c.seconds)])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["n_trees", "max_depth", "accuracy", "seconds"])
+    writer.writerows([c.n_trees, c.max_depth, repr(c.accuracy), repr(c.seconds)] for c in g.cells)
+    atomic_write(path, buf.getvalue().encode("utf-8"))
 
 
 def _fmt(rate: Optional[float]) -> str:
@@ -194,10 +196,11 @@ def evaluation_csv_rows(reports: dict[int, EvaluationReport]) -> tuple[list[str]
 
 def write_evaluation_csv(reports: dict[int, EvaluationReport], path: Path) -> None:
     header, rows = evaluation_csv_rows(reports)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    atomic_write(path, buf.getvalue().encode("utf-8"))
 
 
 def spearman_rank_correlation(x: Sequence[float], y: Sequence[float]) -> float:

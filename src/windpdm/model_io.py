@@ -20,6 +20,7 @@ import struct
 from dataclasses import dataclass
 from pathlib import Path
 
+from .durable import atomic_write
 from .errors import CorruptModel, VersionMismatch
 from .forest import LEAF, DecisionTree, RandomForest
 from .patterns import StatusPattern
@@ -80,7 +81,7 @@ def serialize_model(b: ModelBundle) -> bytes:
 
 
 def save_model(b: ModelBundle, path: Path) -> None:
-    Path(path).write_bytes(serialize_model(b))
+    atomic_write(path, serialize_model(b))
 
 
 def load_model(path: Path) -> ModelBundle:

@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .durable import atomic_write
 from .ingest import EventKind, OperationalRecord, StatusEvent, TurbineStore
 from .manifest import Manifest
 from .timeutil import SLOT_SECONDS, parse_rfc3339
@@ -136,7 +137,7 @@ class GroundTruth:
             ],
             "labels": self.labels,
         }
-        Path(path).write_text(json.dumps(doc), encoding="utf-8")
+        atomic_write(path, json.dumps(doc).encode("utf-8"))
 
     @classmethod
     def load(cls, path: Path) -> "GroundTruth":

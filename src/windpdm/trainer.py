@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import label_records, stratified_split
+from .durable import atomic_write
 from .errors import DataError, PlanInvalid, RuntimeFailure
 from .features import FeatureMatrix, SelectionReport, select_parameters
 from .forest import predict_batch, train_forest
@@ -272,11 +273,11 @@ def run(plan: TrainingPlan) -> TrainingRunReport:
 def _write_reports(plan: TrainingPlan, report: TrainingRunReport) -> None:
     reports_dir = plan.output_dir / "reports"
     for turbine, selection in report.selections.items():
-        (reports_dir / f"selection_{turbine}.txt").write_text(selection.to_text(), encoding="utf-8")
-        (reports_dir / f"selection_{turbine}.json").write_text(selection.to_json(), encoding="utf-8")
+        atomic_write(reports_dir / f"selection_{turbine}.txt", selection.to_text().encode("utf-8"))
+        atomic_write(reports_dir / f"selection_{turbine}.json", selection.to_json().encode("utf-8"))
     for turbine, patterns in report.patterns.items():
-        (reports_dir / f"patterns_{turbine}.txt").write_text(
-            patterns_report(patterns, turbine), encoding="utf-8")
+        atomic_write(reports_dir / f"patterns_{turbine}.txt",
+                     patterns_report(patterns, turbine).encode("utf-8"))
     by_turbine: dict[str, dict[int, EvaluationReport]] = {}
     for o in report.outcomes:
         if o.status == "completed" and o.evaluation is not None:
@@ -302,7 +303,7 @@ def _write_reports(plan: TrainingPlan, report: TrainingRunReport) -> None:
                          f"accuracy {acc}, {o.duration_seconds:.2f} s")
         else:
             lines.append(f"  {o.turbine} t+{o.horizon_minutes}: skipped ({o.skip_reason})")
-    (reports_dir / "training_report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    atomic_write(reports_dir / "training_report.txt", ("\n".join(lines) + "\n").encode("utf-8"))
 
     doc = {
         "completed": len(report.completed),
@@ -323,4 +324,4 @@ def _write_reports(plan: TrainingPlan, report: TrainingRunReport) -> None:
             for o in report.outcomes
         ],
     }
-    (reports_dir / "training_report.json").write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    atomic_write(reports_dir / "training_report.json", json.dumps(doc, indent=2).encode("utf-8"))

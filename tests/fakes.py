@@ -1,4 +1,4 @@
-"""Fault-injection fakes for the agent and simulator tests.
+"""Fault-injection fakes for the agent, simulator and artifact-write tests.
 
 Faults reach the agent only through the objects it is handed, its broker and
 its notification sink, so the runtime modules carry no test hooks. The four
@@ -9,10 +9,14 @@ crash points of the agent's drain cycle map onto them:
 * ``"after_sink_append"``: after the durable append, before the in-memory
   dedupe index learns the batch;
 * ``"after_commit"``: after the offset commit.
+
+Artifact writes are crashed through the ``os`` module that
+``windpdm.durable`` sees (``CrashingOs``).
 """
 
 from __future__ import annotations
 
+import os
 import time
 
 from windpdm.errors import StorageFailure
@@ -102,3 +106,43 @@ def install_failpoint(agent, failpoint) -> None:
     """Route all four crash points of ``agent`` through ``failpoint(stage)``."""
     agent.broker = FaultyBroker(agent.broker, failpoint)
     wrap_sink_append(agent.sink, failpoint)
+
+
+class CrashingOs:
+    """Stand-in for ``os`` inside ``windpdm.durable`` that kills the process
+    inside its ``nth`` ``atomic_write``; install it with
+    ``monkeypatch.setattr(durable, "os", CrashingOs(stage, nth))``.
+
+    Each ``atomic_write`` makes three calls in order: fsync of the tmp file,
+    replace of the target by it, fsync of the directory. ``stage`` names the
+    call that raises SimulatedCrash instead of running:
+
+    * ``"after_tmp_write"``: the tmp file is written, not fsynced;
+    * ``"after_tmp_fsync"``: the tmp file is fsynced, not renamed;
+    * ``"after_replace"``: the target is replaced, the directory not fsynced.
+
+    Counting assumes only ``atomic_write`` runs meanwhile (no log appends),
+    as in a training run.
+    """
+
+    STAGES = ("after_tmp_write", "after_tmp_fsync", "after_replace")
+
+    def __init__(self, stage: str, nth: int):
+        self.crash_at = 3 * (nth - 1) + self.STAGES.index(stage) + 1
+        self.calls = 0
+
+    def _step(self) -> None:
+        self.calls += 1
+        if self.calls == self.crash_at:
+            raise SimulatedCrash(f"crash at durable call {self.calls}")
+
+    def fsync(self, fd):
+        self._step()
+        os.fsync(fd)
+
+    def replace(self, src, dst):
+        self._step()
+        os.replace(src, dst)
+
+    def __getattr__(self, name):
+        return getattr(os, name)

@@ -171,6 +171,22 @@ class TestDurabilityEdgeCases:
         msgs = reopened.poll("g", "T1", 100)
         assert [m.payload.decode() for m in msgs] == [f"payload-{i:02d}" for i in range(12)]
 
+    def test_failed_publish_is_overwritten_by_the_retry(self, tmp_path, monkeypatch):
+        broker = Broker(tmp_path / "b")
+        broker.create_topic("T1")
+        assert broker.publish("T1", b"zero") == 0
+        real_fsync = os.fsync
+
+        def fail_once(fd):
+            monkeypatch.setattr(os, "fsync", real_fsync)
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(os, "fsync", fail_once)
+        with pytest.raises(StorageFailure):
+            broker.publish("T1", b"lost")  # written, never acknowledged
+        assert broker.publish("T1", b"one") == 1
+        reopened = Broker(tmp_path / "b")
+        assert [m.payload for m in reopened.poll("g", "T1", 10)] == [b"zero", b"one"]
 
     def test_offset_gap_behind_live_broker_raises(self, tmp_path):
         broker = Broker(tmp_path / "b")

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from windpdm.errors import (
@@ -227,6 +229,23 @@ class TestDurability:
         count, _ = reopened.append(
             "T1", [OperationalRecord("T1", T0 + 5 * 600, (1.0, 2.0, 3.0, 4.0))])
         assert count == 1
+
+    def test_failed_append_is_overwritten_by_the_retry(self, tmp_path, small_manifest, monkeypatch):
+        store = TurbineStore.create(tmp_path / "s", small_manifest)
+        records = day_of_records("T1")[:4]
+        store.append("T1", records[:2])
+        real_fsync = os.fsync
+
+        def fail_once(fd):
+            monkeypatch.setattr(os, "fsync", real_fsync)
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(os, "fsync", fail_once)
+        with pytest.raises(OSError):
+            store.append("T1", records[2:])  # written, never acknowledged
+        assert store.append("T1", records[2:]) == (2, [])
+        reopened = TurbineStore.open(tmp_path / "s")
+        assert list(reopened.scan_operational("T1")) == records
 
 
 class TestManifest:

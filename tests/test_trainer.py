@@ -1,7 +1,11 @@
 import json
+import shutil
 
 import pytest
 
+from windpdm import durable
+from windpdm.agent import MonitoringAgent
+from windpdm.broker import Broker
 from windpdm.errors import PlanInvalid
 from windpdm.ingest import TurbineStore
 from windpdm.model_io import load_model
@@ -11,6 +15,7 @@ from windpdm.trainer import TrainingPlan, derive_seed, parse_plan, run
 from windpdm.timeutil import parse_rfc3339
 
 from conftest import T0
+from fakes import CrashingOs, SimulatedCrash
 
 
 def synth_store(tmp_path, days=4.0, turbines=2, seed=5):
@@ -101,6 +106,40 @@ class TestRun:
         assert doc["completed"] == 6
         assert doc["fleet_accuracy"]["pooled"] is not None
         assert len(doc["outcomes"]) == 6
+
+
+class TestCrashDuringRetrain:
+    """A crash inside a bundle's atomic write, while a retrain with another
+    seed replaces an existing models/ directory, leaves every bundle loadable
+    and each one the old bundle or the new one, byte for byte."""
+
+    @pytest.mark.parametrize("stage", CrashingOs.STAGES)
+    def test_every_bundle_is_old_or_new(self, tmp_path, monkeypatch, stage):
+        cfg = synth_store(tmp_path, turbines=1)
+        models = [f"models/T01/horizon_{h}.model" for h in HORIZONS_MINUTES]
+        run(plan_for(cfg, tmp_path / "old", seed=3))
+        run(plan_for(cfg, tmp_path / "new", seed=4))
+        old = {m: (tmp_path / "old" / m).read_bytes() for m in models}
+        new = {m: (tmp_path / "new" / m).read_bytes() for m in models}
+        assert all(old[m] != new[m] for m in models)
+
+        out = tmp_path / "out"
+        shutil.copytree(tmp_path / "old", out)
+        nth = 3  # the third bundle, horizon_30
+        monkeypatch.setattr(durable, "os", CrashingOs(stage, nth))
+        with pytest.raises(SimulatedCrash):
+            run(plan_for(cfg, out, seed=4))
+        monkeypatch.undo()
+
+        assert (out / (models[nth - 1] + ".tmp")).exists() == (stage != "after_replace")
+        agent = MonitoringAgent.start(
+            out / "models", Broker(tmp_path / "broker"), ["T01"], tmp_path / "sink",
+            TurbineStore.open(cfg.out_dir).manifest)
+        assert sorted(agent.models["T01"]) == sorted(HORIZONS_MINUTES)
+        got = {m: (out / m).read_bytes() for m in models}
+        assert all(got[m] in (old[m], new[m]) for m in models)
+        replaced = nth if stage == "after_replace" else nth - 1
+        assert [got[m] == new[m] for m in models] == [i < replaced for i in range(len(models))]
 
 
 class TestSeedDerivation:
