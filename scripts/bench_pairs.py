@@ -14,6 +14,12 @@ count, the filesystem type of the parent's work directory as listed in
 run, so an interrupted set keeps the runs it finished. An existing ``--out``
 file is extended, so sets of other seeds or workloads land in the same file,
 but only if it records the same machine and command as this invocation.
+
+At the end it prints, for each workload and end-to-end metric of the whole
+file, both medians, the parent's interquartile range, the pairs the change
+won and lost, and whether the change's median is within the metric's bound
+in BENCHMARK.json; then every run that was not correct, failed an
+operation or printed no result.
 """
 
 import argparse
@@ -55,6 +61,47 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     return {"exit_code": proc.returncode, "result": result}
 
 
+def _value(result: dict | None, name: str) -> float | None:
+    return (result or {}).get("metrics", {}).get(name, {}).get("value")
+
+
+def summarize(doc: dict, benchmark: dict) -> list[str]:
+    """The end-of-run report on ``doc`` (a bench_pairs output) as lines."""
+    by_workload: dict[str, dict[int, dict]] = {}
+    for run in doc["runs"]:
+        by_workload.setdefault(run["workload"], {}).setdefault(run["pair"], {})[run["side"]] = run["result"]
+    lines = []
+    for workload, pairs in by_workload.items():
+        for metric in benchmark["end_to_end"]:
+            name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
+            got = [(_value(sides.get("parent"), name), _value(sides.get("change"), name))
+                   for sides in pairs.values()]
+            parent = [p for p, _ in got if p is not None]
+            change = [c for _, c in got if c is not None]
+            if not parent or not change:
+                lines.append(f"{workload} {name}: no runs on {'the change' if parent else 'the parent'}")
+                continue
+            both = [(p, c) for p, c in got if p is not None and c is not None]
+            won = sum(sign * (c - p) < 0 for p, c in both)
+            lost = sum(sign * (c - p) > 0 for p, c in both)
+            mp, mc = float(np.median(parent)), float(np.median(change))
+            q1, q3 = np.percentile(parent, [25, 75])
+            verdict = "within" if sign * (mc - mp) / mp <= metric["bound"] else "OUTSIDE"
+            lines.append(
+                f"{workload} {name}: parent {mp:.4g} | change {mc:.4g} {metric['unit']} ({(mc - mp) / mp:+.1%}); "
+                f"parent IQR {q1:.4g}-{q3:.4g} ({(q3 - q1) / mp:.1%} of median); "
+                f"change won {won}, lost {lost} of {len(both)} pairs; {verdict} bound {metric['bound']}")
+    for run in doc["runs"]:
+        result = run["result"]
+        where = f"pair {run['pair']} {run['side']} {run['workload']} seed {run['seed']}"
+        if result is None:
+            lines.append(f"{where}: exit code {run['exit_code']}, no result")
+        elif not result.get("correct") or result.get("failed"):
+            lines.append(f"{where}: correct={result.get('correct')}, "
+                         f"failed {result.get('failed')} of {result.get('attempted')}")
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("parent", type=Path)
@@ -63,7 +110,8 @@ def main(argv=None) -> int:
     ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
     args = ap.parse_args(argv)
-    seconds = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
+    benchmark = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = benchmark["run_seconds"]
     work = args.parent / "perfbench" / ".work"
     work.mkdir(parents=True, exist_ok=True)
     machine = {
@@ -92,6 +140,8 @@ def main(argv=None) -> int:
                 print(pair, side, workload, seed, {k: round(v["value"], 3) for k, v in metrics.items()},
                       flush=True)
             pair += 1
+    for line in summarize(doc, benchmark):
+        print(line)
     return 0
 
 

@@ -86,7 +86,7 @@ class PredictionNotification:
 
 @dataclass(frozen=True)
 class Skip:
-    reason: str  # "duplicate" or "dead_letter"
+    reason: str  # only "duplicate": a message that fails is dead-lettered, not skipped
 
 
 class NotificationSink:

@@ -13,9 +13,10 @@ On-disk layout per topic: ``segments/<base-offset>.log`` files of
 length-prefixed, crc32-checksummed frames, plus ``offsets/<group>.offset``.
 A topic has one publishing handle, which keeps the offsets and the end of
 its last acknowledged frame in memory. publish() writes at that end and cuts
-what lies past it, so a failed publish's bytes are overwritten by the retry.
-A torn trailing frame (writer crash) is cut on writer reopen; readers treat
-an incomplete or invalid tail frame as not-yet-published and retry.
+what lies past it, so the bytes of a failed publish or of a frame torn by a
+crash are overwritten by the next acknowledged frame. No other call writes a
+segment: every handle reads an incomplete or invalid tail frame as not yet
+published and skips it until then.
 
 Appends to one topic are serialized by a lock; different topics, and
 poll/commit across groups, are independent. The intended deployment is one
@@ -30,6 +31,7 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 from .durable import append_at, atomic_write, fsync_dir
@@ -56,8 +58,7 @@ class _TopicState:
         self.segments_dir = self.dir / "segments"
         self.offsets_dir = self.dir / "offsets"
         self.lock = threading.Lock()
-        self.next_offset = 0
-        # per offset: (segment path, byte position of frame start)
+        # per offset: (segment path, byte position of frame start); len() is the next offset
         self.index: list[tuple[Path, int]] = []
         # per segment: byte position after the last complete frame scanned or published
         self.scan_pos: dict[Path, int] = {}
@@ -67,43 +68,34 @@ class _TopicState:
         return sorted(files, key=lambda p: int(p.stem))
 
 
-def _scan_segment(path: Path, truncate_torn: bool, start_pos: int = 0):
-    """Collect (offset, timestamp, payload, start_pos) for complete valid
-    frames from ``start_pos`` on.
-
-    Stops at the first incomplete or corrupt frame; with ``truncate_torn``
-    (a writer reopening its own log) the bad tail is cut off.
-    """
-    frames = []
-    size = path.stat().st_size
-    pos = start_pos
-    with open(path, "rb") as fh:
-        fh.seek(pos)
-        while pos + _FRAME_HEADER.size <= size:
-            header = fh.read(_FRAME_HEADER.size)
-            if len(header) < _FRAME_HEADER.size:
-                break
-            length, crc, offset, ts = _FRAME_HEADER.unpack(header)
-            if pos + _FRAME_HEADER.size + length > size:
-                break
-            payload = fh.read(length)
-            if len(payload) < length or zlib.crc32(payload) != crc:
-                break
-            frames.append((offset, ts, payload, pos))
-            pos += _FRAME_HEADER.size + length
-    if truncate_torn and pos < size:
-        append_at(path, pos, b"")
-    return frames, pos
+def _frames(fh, pos: int, end: int):
+    """Yield ``(offset, timestamp, payload, next_pos)`` for each complete,
+    crc-valid frame of the open segment ``fh`` from byte ``pos``, stopping at
+    the first torn or corrupt one. Nothing past ``end`` is read, so a corrupt
+    length field cannot cause a large read."""
+    fh.seek(pos)
+    while pos + _FRAME_HEADER.size <= end:
+        header = fh.read(_FRAME_HEADER.size)
+        if len(header) < _FRAME_HEADER.size:
+            return
+        length, crc, offset, ts = _FRAME_HEADER.unpack(header)
+        next_pos = pos + _FRAME_HEADER.size + length
+        if next_pos > end:
+            return
+        payload = fh.read(length)
+        if len(payload) < length or zlib.crc32(payload) != crc:
+            return
+        yield offset, ts, payload, next_pos
+        pos = next_pos
 
 
 class Broker:
     """Handle over a broker directory; all volatile state rebuilds from disk."""
 
-    def __init__(self, root: Path, max_segment_bytes: int = DEFAULT_SEGMENT_BYTES, writable: bool = True):
+    def __init__(self, root: Path, max_segment_bytes: int = DEFAULT_SEGMENT_BYTES):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.max_segment_bytes = max_segment_bytes
-        self.writable = writable
         self._topics: dict[str, _TopicState] = {}
         self._registry_lock = threading.Lock()
         for entry in sorted(self.root.iterdir()):
@@ -114,7 +106,7 @@ class Broker:
 
     def _load_topic(self, name: str) -> _TopicState:
         state = _TopicState(name, self.root)
-        self._refresh_index(state, truncate_torn=self.writable)
+        self._refresh_index(state)
         self._topics[name] = state
         return state
 
@@ -154,7 +146,7 @@ class Broker:
             raise StorageFailure("empty payload rejected")
         state = self._state(topic)
         with state.lock:
-            offset = state.next_offset
+            offset = len(state.index)
             segment = self._active_segment(state)
             frame = _FRAME_HEADER.pack(len(payload), zlib.crc32(payload), offset, time.time()) + payload
             pos = state.scan_pos.get(segment, 0)
@@ -163,7 +155,6 @@ class Broker:
             except OSError as exc:
                 raise StorageFailure(f"append to {segment} failed: {exc}") from exc
             state.index.append((segment, pos))
-            state.next_offset += 1
             return offset
 
     def _active_segment(self, state: _TopicState) -> Path:
@@ -171,14 +162,14 @@ class Broker:
         # the acknowledged end, not the file size, which counts a failed publish
         if segments and state.scan_pos.get(segments[-1], 0) < self.max_segment_bytes:
             return segments[-1]
-        segment = state.segments_dir / f"{state.next_offset:020d}{SEGMENT_SUFFIX}"
+        segment = state.segments_dir / f"{len(state.index):020d}{SEGMENT_SUFFIX}"
         segment.touch()
         fsync_dir(state.segments_dir)
         return segment
 
     # -- consuming --------------------------------------------------------------
 
-    def _refresh_index(self, state: _TopicState, truncate_torn: bool = False) -> None:
+    def _refresh_index(self, state: _TopicState) -> None:
         """Pick up frames appended since the last scan (possibly by another
         process), resuming from the stored byte positions. A frame that breaks
         offset contiguity raises StorageFailure and is never indexed, nor is
@@ -187,18 +178,18 @@ class Broker:
             try:
                 for seg in state.segment_files():
                     pos = state.scan_pos.get(seg, 0)
-                    if seg.stat().st_size <= pos:
+                    if (size := seg.stat().st_size) <= pos:
                         continue
-                    frames, end = _scan_segment(seg, truncate_torn, start_pos=pos)
-                    for offset, _ts, _payload, start in frames:
-                        if offset != state.next_offset:
-                            state.scan_pos[seg] = start
-                            raise StorageFailure(
-                                f"topic {state.name}: offset {offset} at {seg} breaks contiguity "
-                                f"(expected {state.next_offset})")
-                        state.index.append((seg, start))
-                        state.next_offset += 1
-                    state.scan_pos[seg] = end
+                    with open(seg, "rb") as fh:
+                        for offset, _ts, _payload, next_pos in _frames(fh, pos, size):
+                            if offset != len(state.index):
+                                state.scan_pos[seg] = pos
+                                raise StorageFailure(
+                                    f"topic {state.name}: offset {offset} at {seg} breaks contiguity "
+                                    f"(expected {len(state.index)})")
+                            state.index.append((seg, pos))
+                            pos = next_pos
+                    state.scan_pos[seg] = pos
             except OSError as exc:
                 raise StorageFailure(f"topic {state.name}: scan failed: {exc}") from exc
 
@@ -217,35 +208,36 @@ class Broker:
         return int(text) if text else 0
 
     def poll(self, group: str, topic: str, max_batch: int = 256) -> list[Message]:
-        """Messages from the group's committed offset onward, in order.
-        Does not advance the committed offset."""
+        """Messages from the group's committed offset onward, in order, read with
+        one open per segment. Does not advance the committed offset."""
         state = self._state(topic)
         self._refresh_index(state)
         start = self.committed_offset(group, topic)
         with state.lock:
-            end = min(state.next_offset, start + max_batch)
-            wanted = [(off, state.index[off]) for off in range(start, end)]
-        out = []
-        for off, (seg, pos) in wanted:
+            wanted = state.index[start:start + max_batch]
+            ends = {seg: state.scan_pos[seg] for seg, _ in wanted}
+        out: list[Message] = []
+        while len(out) < len(wanted):
+            seg, pos = wanted[len(out)]
             try:
                 with open(seg, "rb") as fh:
-                    fh.seek(pos)
-                    header = fh.read(_FRAME_HEADER.size)
-                    length, crc, offset, ts = _FRAME_HEADER.unpack(header)
-                    payload = fh.read(length)
-            except (OSError, struct.error) as exc:
-                raise StorageFailure(f"reading frame at {seg}:{pos} failed: {exc}") from exc
-            if zlib.crc32(payload) != crc or offset != off:
-                raise StorageFailure(f"frame at {seg}:{pos} failed validation")
-            out.append(Message(topic, offset, ts, payload))
+                    frames = _frames(fh, pos, ends[seg])
+                    for offset, ts, payload, _next in islice(frames, len(wanted) - len(out)):
+                        if offset != start + len(out):
+                            break
+                        out.append(Message(topic, offset, ts, payload))
+            except OSError as exc:
+                raise StorageFailure(f"reading {seg} failed: {exc}") from exc
+            if len(out) < len(wanted) and wanted[len(out)][0] == seg:
+                raise StorageFailure(f"frame at {seg}:{wanted[len(out)][1]} failed validation")
         return out
 
     def commit(self, group: str, topic: str, offset: int) -> None:
         """Durably record the next-to-read offset for the group."""
         state = self._state(topic)
         self._refresh_index(state)
-        if offset > state.next_offset:
-            raise OffsetAhead(f"commit {offset} is ahead of next offset {state.next_offset}")
+        if offset > len(state.index):
+            raise OffsetAhead(f"commit {offset} is ahead of next offset {len(state.index)}")
         if offset < 0:
             raise OffsetAhead(f"negative offset {offset}")
         path = self._offset_file(state, group)
@@ -257,4 +249,4 @@ class Broker:
     def message_count(self, topic: str) -> int:
         state = self._state(topic)
         self._refresh_index(state)
-        return state.next_offset
+        return len(state.index)

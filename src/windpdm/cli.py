@@ -35,7 +35,7 @@ from .errors import DataError, RuntimeFailure, WindPdmError
 from .features import FeatureMatrix, select_parameters
 from .forest import predict_batch
 from .ingest import TurbineStore, parse_operational_csv, parse_status_csv
-from .manifest import parse_key_values
+from .manifest import parse_bool, parse_key_values
 from .metrics import (
     confusion,
     evaluate,
@@ -98,7 +98,7 @@ def build_parser() -> _Parser:
     p.add_argument("--turbine", required=True)
     p.add_argument("--operational", help="operational CSV file")
     p.add_argument("--status", help="status CSV file")
-    p.add_argument("--skip-invalid", action="store_true",
+    p.add_argument("--skip-invalid", action="store_true", default=None,
                    help="count and skip invalid rows instead of rejecting the file")
 
     p = sub.add_parser("select-features", help="run the parameter reduction funnel")
@@ -178,7 +178,7 @@ def build_parser() -> _Parser:
 
 def cmd_ingest(args, config) -> int:
     store = TurbineStore.open(Path(args.store))
-    skip = bool(_resolve(args, config, "skip-invalid", False))
+    skip = _resolve(args, config, "skip-invalid", False, parse_bool)
     if not args.operational and not args.status:
         raise UsageError("ingest needs --operational and/or --status")
     total = 0

@@ -96,6 +96,13 @@ def parse_name_list(value: str) -> list[str]:
     return [part.strip() for part in inner.split(",")]
 
 
+def parse_bool(value: str) -> bool:
+    """``true`` or ``false``, in any case; any other value raises DataError."""
+    if value.strip().lower() not in ("true", "false"):
+        raise DataError(f"expected true or false, got {value!r}")
+    return value.strip().lower() == "true"
+
+
 def load_manifest(path: Path) -> Manifest:
     if not path.exists():
         raise DataError(f"manifest not found: {path}")

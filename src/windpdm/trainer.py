@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from .errors import DataError, PlanInvalid, RuntimeFailure
 from .features import FeatureMatrix, SelectionReport, select_parameters
 from .forest import predict_batch, train_forest
 from .ingest import TurbineStore
-from .manifest import parse_key_values, parse_name_list
+from .manifest import parse_bool, parse_key_values, parse_name_list
 from .metrics import EvaluationReport, confusion, evaluate, write_evaluation_csv
 from .model_io import ModelBundle, save_model
 from .patterns import (
@@ -79,6 +79,15 @@ class TrainingPlan:
             self.created_at = self.end
 
 
+# how each plan key is read; the defaults live only in TrainingPlan
+_PLAN_CASTS = {
+    "store_path": Path, "output_dir": Path, "turbines": parse_name_list, "keep_datasets": parse_bool,
+    **dict.fromkeys(("start", "end", "created_at"), parse_rfc3339),
+    **dict.fromkeys(("variance_threshold", "correlation_threshold", "min_support", "train_fraction"), float),
+    **dict.fromkeys(("max_patterns", "n_trees", "max_depth", "features_per_split", "seed"), int),
+}
+
+
 def parse_plan(path: Path, overrides: dict | None = None) -> TrainingPlan:
     """Plan file: key = value lines; names mirror the TrainingPlan fields.
 
@@ -88,42 +97,20 @@ def parse_plan(path: Path, overrides: dict | None = None) -> TrainingPlan:
     kv = parse_key_values(Path(path).read_text(encoding="utf-8"))
     if overrides:
         kv.update({k: str(v) for k, v in overrides.items() if v is not None})
-    known = {f.name for f in fields(TrainingPlan)}
-    unknown = sorted(k for k in kv if k not in known)
+    unknown = sorted(k for k in kv if k not in _PLAN_CASTS)
     if unknown:
         raise PlanInvalid(f"unknown plan keys: {', '.join(unknown)}")
     required = ("store_path", "output_dir", "start", "end")
     missing = [k for k in required if k not in kv]
     if missing:
         raise PlanInvalid(f"plan is missing keys: {', '.join(missing)}")
-
-    def get(name, cast, default):
-        if name not in kv:
-            return default
-        raw = kv[name]
+    given = {}
+    for name, raw in kv.items():
         try:
-            return cast(raw)
+            given[name] = _PLAN_CASTS[name](raw)
         except (ValueError, DataError) as exc:
             raise PlanInvalid(f"bad plan value {name} = {raw!r}: {exc}") from None
-
-    return TrainingPlan(
-        store_path=Path(kv["store_path"]),
-        output_dir=Path(kv["output_dir"]),
-        start=parse_rfc3339(kv["start"]),
-        end=parse_rfc3339(kv["end"]),
-        turbines=get("turbines", parse_name_list, []),
-        variance_threshold=get("variance_threshold", float, 0.99),
-        correlation_threshold=get("correlation_threshold", float, 0.95),
-        min_support=get("min_support", float, 0.01),
-        max_patterns=get("max_patterns", int, 8),
-        n_trees=get("n_trees", int, 40),
-        max_depth=get("max_depth", int, 25),
-        features_per_split=get("features_per_split", int, None),
-        train_fraction=get("train_fraction", float, 2.0 / 3.0),
-        seed=get("seed", int, 0),
-        created_at=get("created_at", parse_rfc3339, None),
-        keep_datasets=get("keep_datasets", lambda s: s.lower() == "true", False),
-    )
+    return TrainingPlan(**given)
 
 
 @dataclass

@@ -4,6 +4,7 @@ import zlib
 import numpy as np
 import pytest
 
+from windpdm import broker as broker_mod
 from windpdm.broker import _FRAME_HEADER, Broker
 from windpdm.errors import OffsetAhead, StorageFailure, TopicExists, UnknownTopic
 
@@ -151,10 +152,27 @@ class TestDurabilityEdgeCases:
         msgs = b.poll("g", "T1", 10)
         assert [m.payload for m in msgs] == [b"good", b"next"]
 
+    def test_reader_leaves_a_torn_tail_in_place(self, tmp_path):
+        writer = Broker(tmp_path / "b")
+        writer.create_topic("T1")
+        writer.publish("T1", b"one")
+        writer.publish("T1", b"two")
+        seg = next((tmp_path / "b" / "T1" / "segments").iterdir())
+        with open(seg, "ab") as fh:
+            fh.write(b"\x99\x00\x00\x00partial-frame-garbage")
+        before = seg.read_bytes()
+        reader = Broker(tmp_path / "b")
+        assert [m.payload for m in reader.poll("g", "T1", 10)] == [b"one", b"two"]
+        assert reader.message_count("T1") == 2
+        assert seg.read_bytes() == before
+        # the publisher's next frame overwrites the torn one
+        assert writer.publish("T1", b"three") == 2
+        assert [m.payload for m in reader.poll("g", "T1", 10)] == [b"one", b"two", b"three"]
+
     def test_reader_instance_sees_writer_appends(self, tmp_path):
         writer = Broker(tmp_path / "b")
         writer.create_topic("T1")
-        reader = Broker(tmp_path / "b", writable=False)
+        reader = Broker(tmp_path / "b")
         assert reader.poll("g", "T1", 10) == []
         writer.publish("T1", b"late")
         msgs = reader.poll("g", "T1", 10)
@@ -207,6 +225,68 @@ class TestDurabilityEdgeCases:
         os.truncate(seg, good_size)
         assert broker.message_count("T1") == 3
         assert [m.payload for m in broker.poll("g", "T1", 10)] == [b"m0", b"m1", b"m2"]
+
+
+    def test_stray_frame_met_by_a_first_scan_raises_and_keeps_the_good_frames(self, tmp_path):
+        writer = Broker(tmp_path / "b")
+        writer.create_topic("T1")
+        reader = Broker(tmp_path / "b")
+        for i in range(3):
+            writer.publish("T1", f"m{i}".encode())
+        seg = next((tmp_path / "b" / "T1" / "segments").iterdir())
+        good_size = seg.stat().st_size
+        payload = b"stray"
+        with open(seg, "ab") as fh:
+            fh.write(_FRAME_HEADER.pack(len(payload), zlib.crc32(payload), 7, 0.0) + payload)
+        # one scan indexes the three good frames, then meets the stray one
+        with pytest.raises(StorageFailure, match="offset 7"):
+            reader.message_count("T1")
+        with pytest.raises(StorageFailure, match="offset 7"):
+            reader.poll("g", "T1", 10)
+        os.truncate(seg, good_size)
+        assert reader.message_count("T1") == 3
+        assert [m.payload for m in reader.poll("g", "T1", 10)] == [b"m0", b"m1", b"m2"]
+
+    def test_corrupt_indexed_frame_fails_the_poll(self, broker, tmp_path):
+        broker.create_topic("T1")
+        for i in range(3):
+            broker.publish("T1", f"m{i}".encode())
+        seg = next((tmp_path / "broker" / "T1" / "segments").iterdir())
+        frame_size = _FRAME_HEADER.size + len(b"m0")
+        with open(seg, "r+b") as fh:
+            fh.seek(frame_size + _FRAME_HEADER.size)  # first payload byte of offset 1
+            fh.write(b"X")
+        with pytest.raises(StorageFailure, match="failed validation"):
+            broker.poll("g", "T1", 10)
+        broker.commit("g", "T1", 2)
+        assert [m.payload for m in broker.poll("g", "T1", 10)] == [b"m2"]
+
+
+class TestPollReads:
+    def test_full_batch_opens_its_segment_once(self, broker, monkeypatch):
+        broker.create_topic("T1")
+        for i in range(256):
+            broker.publish("T1", f"m{i}".encode())
+        opened = []
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(broker_mod, "open", counting_open, raising=False)
+        msgs = broker.poll("g", "T1", 256)
+        assert [m.offset for m in msgs] == list(range(256))
+        assert len(opened) == 1
+
+    def test_batch_spanning_segments_reads_each_in_order(self, tmp_path):
+        broker = Broker(tmp_path / "b", max_segment_bytes=64)
+        broker.create_topic("T1")
+        for i in range(12):
+            broker.publish("T1", f"payload-{i:02d}".encode())
+        broker.commit("g", "T1", 1)
+        msgs = Broker(tmp_path / "b", max_segment_bytes=64).poll("g", "T1", 9)
+        assert [m.offset for m in msgs] == list(range(1, 10))
+        assert [m.payload.decode() for m in msgs] == [f"payload-{i:02d}" for i in range(1, 10)]
 
 
 class TestAtLeastOnceHarness:

@@ -136,6 +136,45 @@ class TestConfigPrecedence:
         assert "Class 2:" in capsys.readouterr().out
 
 
+class TestSkipInvalid:
+    """--skip-invalid resolves like every option: flag > env > config file."""
+
+    @pytest.fixture
+    def stale_rows(self, tmp_path, synth_store):
+        # one row before the stored history: out of order
+        store_params = (synth_store / "manifest.txt").read_text().splitlines()[0]
+        params = store_params.split("[")[1].rstrip("]").split(", ")
+        ops = tmp_path / "ops.csv"
+        ops.write_text("timestamp," + ",".join(params) + "\n" + format_rfc3339(T0) + "," +
+                       ",".join(["1.0"] * len(params)) + "\n")
+        return ["ingest", "--store", str(synth_store), "--turbine", "T01", "--operational", str(ops)]
+
+    def test_flag_skips(self, stale_rows, capsys):
+        assert run_cli(*stale_rows, "--skip-invalid") == 0
+        assert "appended 0 records (1 skipped)" in capsys.readouterr().out
+
+    def test_env_true_skips(self, stale_rows, capsys, monkeypatch):
+        monkeypatch.setenv("WINDPDM_SKIP_INVALID", "true")
+        assert run_cli(*stale_rows) == 0
+        assert "appended 0 records (1 skipped)" in capsys.readouterr().out
+
+    def test_config_true_skips(self, stale_rows, tmp_path, capsys):
+        config = tmp_path / "conf"
+        config.write_text("skip-invalid = true\n")
+        assert run_cli("--config", str(config), *stale_rows) == 0
+        assert "appended 0 records (1 skipped)" in capsys.readouterr().out
+
+    def test_env_false_rejects(self, stale_rows, capsys, monkeypatch):
+        monkeypatch.setenv("WINDPDM_SKIP_INVALID", "false")
+        assert run_cli(*stale_rows) == 2
+        assert "error: data:" in capsys.readouterr().err
+
+    def test_env_other_word_is_a_data_error(self, stale_rows, capsys, monkeypatch):
+        monkeypatch.setenv("WINDPDM_SKIP_INVALID", "maybe")
+        assert run_cli(*stale_rows) == 2
+        assert "expected true or false, got 'maybe'" in capsys.readouterr().err
+
+
 class TestRangeSpec:
     def test_step_form(self):
         assert _parse_range_spec("5..100:5") == list(range(5, 101, 5))

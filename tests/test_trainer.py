@@ -1,5 +1,7 @@
 import json
 import shutil
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +13,7 @@ from windpdm.ingest import TurbineStore
 from windpdm.model_io import load_model
 from windpdm.patterns import HORIZONS_MINUTES
 from windpdm.synth import SynthConfig, generate
-from windpdm.trainer import TrainingPlan, derive_seed, parse_plan, run
+from windpdm.trainer import _PLAN_CASTS, TrainingPlan, derive_seed, parse_plan, run
 from windpdm.timeutil import parse_rfc3339
 
 from conftest import T0
@@ -217,6 +219,34 @@ class TestPlanParsing:
             "store_path = s\noutput_dir = o\n"
             f"start = 2015-01-01T00:00:00Z\nend = 2015-01-02T00:00:00Z\n{line}\n")
         with pytest.raises(PlanInvalid, match=f"unknown plan keys: {key}$"):
+            parse_plan(plan_file)
+
+
+    def test_required_keys_alone_give_the_dataclass_defaults(self, tmp_path):
+        plan_file = tmp_path / "plan.conf"
+        plan_file.write_text(
+            "store_path = s\noutput_dir = o\n"
+            "start = 2015-01-01T00:00:00Z\nend = 2015-01-02T00:00:00Z\n")
+        assert parse_plan(plan_file) == TrainingPlan(
+            store_path=Path("s"), output_dir=Path("o"), start=T0, end=T0 + 86400)
+
+    def test_every_plan_field_has_a_cast(self):
+        assert set(_PLAN_CASTS) == {f.name for f in fields(TrainingPlan)}
+
+    @pytest.mark.parametrize("value, kept", [("true", True), ("False", False)])
+    def test_keep_datasets_is_a_boolean(self, tmp_path, value, kept):
+        plan_file = tmp_path / "plan.conf"
+        plan_file.write_text(
+            "store_path = s\noutput_dir = o\n"
+            f"start = 2015-01-01T00:00:00Z\nend = 2015-01-02T00:00:00Z\nkeep_datasets = {value}\n")
+        assert parse_plan(plan_file).keep_datasets is kept
+
+    def test_keep_datasets_rejects_other_words(self, tmp_path):
+        plan_file = tmp_path / "plan.conf"
+        plan_file.write_text(
+            "store_path = s\noutput_dir = o\n"
+            "start = 2015-01-01T00:00:00Z\nend = 2015-01-02T00:00:00Z\nkeep_datasets = yes\n")
+        with pytest.raises(PlanInvalid, match="keep_datasets"):
             parse_plan(plan_file)
 
 
