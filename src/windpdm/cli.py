@@ -6,8 +6,13 @@ synth (the synthetic fleet generator).
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 runtime failure.
 Failures print a single structured line ``error: <kind>: <message>`` on
-stderr. Option values resolve as flags > WINDPDM_<OPTION> environment
-variables > --config file entries > built-in defaults.
+stderr.
+
+Each optional option is declared once, in ``_COMMANDS``, and resolves before
+the command runs: flag > WINDPDM_<OPTION> environment variable > ``--config``
+file entry > the library's default. A config key applies, with that
+command's cast, to every command that declares it. A key that names no
+option, or a value that does not parse, is a data error naming its source.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import sys
 import threading
 import urllib.request
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,13 +36,15 @@ from . import trainer as trainer_mod
 from .broker import Broker
 from .dataset import load_dataset
 from .durable import atomic_write
-from .endpoint import AgentEndpoint
+from .endpoint import DEFAULT_HOST, DEFAULT_PORT, AgentEndpoint
 from .errors import DataError, RuntimeFailure, WindPdmError
 from .features import FeatureMatrix, select_parameters
 from .forest import predict_batch
 from .ingest import TurbineStore, parse_operational_csv, parse_status_csv
 from .manifest import parse_bool, parse_key_values
 from .metrics import (
+    DEFAULT_DEPTH_GRID,
+    DEFAULT_TREES_GRID,
     confusion,
     evaluate,
     evaluation_csv_rows,
@@ -69,130 +77,44 @@ def _parse_range_spec(spec: str) -> list[int]:
     return [int(v) for v in spec.split(",") if v.strip()]
 
 
-def _load_config(path: str | None) -> dict[str, str]:
-    if not path:
-        return {}
-    return parse_key_values(Path(path).read_text(encoding="utf-8"))
+def _names(text: str) -> list[str]:
+    """'T01,T02' -> ['T01', 'T02']."""
+    return [name for name in text.split(",") if name]
 
 
-def _resolve(args, config: dict[str, str], name: str, default=None, cast=str):
-    """flags > env > config file > default."""
-    value = getattr(args, name.replace("-", "_"), None)
-    if value is not None:
-        return value
-    env = os.environ.get("WINDPDM_" + name.upper().replace("-", "_"))
-    if env is not None:
-        return cast(env)
-    if name in config:
-        return cast(config[name])
-    return default
+def _speedup(text: str) -> float | str:
+    """'max' (as fast as possible) or milliseconds per simulated step."""
+    return text if text == "max" else float(text)
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="windpdm", description=__doc__.splitlines()[0])
-    parser.add_argument("--config", help="key = value config file supplying option defaults")
-    sub = parser.add_subparsers(dest="command", metavar="command")
+def _given(opts: dict, *names: str, **renamed: str) -> dict:
+    """The named options that resolved to a value, as keyword arguments.
 
-    p = sub.add_parser("ingest", help="parse CSV files and append them to a turbine store")
-    p.add_argument("--store", required=True)
-    p.add_argument("--turbine", required=True)
-    p.add_argument("--operational", help="operational CSV file")
-    p.add_argument("--status", help="status CSV file")
-    p.add_argument("--skip-invalid", action="store_true", default=None,
-                   help="count and skip invalid rows instead of rejecting the file")
-
-    p = sub.add_parser("select-features", help="run the parameter reduction funnel")
-    p.add_argument("--store", required=True)
-    p.add_argument("--turbine", required=True)
-    p.add_argument("--start", required=True)
-    p.add_argument("--end", required=True)
-    p.add_argument("--variance-threshold", type=float)
-    p.add_argument("--correlation-threshold", type=float)
-    p.add_argument("--out", help="directory for the text + JSON reports")
-
-    p = sub.add_parser("mine-patterns", help="mine critical alarm patterns (failure classes)")
-    p.add_argument("--store", required=True)
-    p.add_argument("--turbine", required=True)
-    p.add_argument("--start", required=True)
-    p.add_argument("--end", required=True)
-    p.add_argument("--min-support", type=float)
-    p.add_argument("--max-patterns", type=int)
-    p.add_argument("--out", help="write the pattern report here as well as stdout")
-
-    p = sub.add_parser("train", help="run a training plan end to end")
-    p.add_argument("--plan", required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n-trees", type=int)
-    p.add_argument("--max-depth", type=int)
-    p.add_argument("--output-dir")
-
-    p = sub.add_parser("evaluate", help="evaluate a model bundle against a dataset CSV")
-    p.add_argument("--model", required=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--out", help="write a one-row evaluation CSV here")
-    p.add_argument("--dump", action="store_true", help="print the bundle text dump instead")
-
-    p = sub.add_parser("grid-search", help="accuracy/cost grid over forest hyperparameters")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--trees", default="5..100:5", help="e.g. 5..100:5 or 10,40,80")
-    p.add_argument("--depth", default="5..30:5")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("serve", help="run broker consumer + agent + streaming endpoint")
-    p.add_argument("--store", required=True)
-    p.add_argument("--models", required=True)
-    p.add_argument("--broker", required=True)
-    p.add_argument("--sink", required=True)
-    p.add_argument("--turbines", help="comma-separated subset (default: manifest)")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8787)
-    p.add_argument("--allow-partial", action="store_true")
-
-    p = sub.add_parser("simulate", help="replay stored telemetry into broker topics")
-    p.add_argument("--store", required=True)
-    p.add_argument("--broker", required=True)
-    p.add_argument("--turbines")
-    p.add_argument("--start")
-    p.add_argument("--end")
-    p.add_argument("--days", type=float, help="limit to the first N days of the store range")
-    p.add_argument("--speedup", default="max",
-                   help="'max' or milliseconds per simulated 10-minute step "
-                        "(600000 = real time)")
-
-    p = sub.add_parser("status", help="query a running agent's health endpoint")
-    p.add_argument("--endpoint", default="http://127.0.0.1:8787")
-
-    p = sub.add_parser("synth", help="generate a deterministic synthetic turbine store")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--turbines", type=int, default=2)
-    p.add_argument("--days", type=float, default=10.0)
-    p.add_argument("--parameters", type=int, default=12)
-    p.add_argument("--alarms", type=int, default=6)
-    p.add_argument("--signal-scale", type=float, default=1.0)
-    p.add_argument("--noise-scale", type=float, default=0.1)
-
-    return parser
+    ``param="option"`` passes an option under the callee's parameter name;
+    an option left unset is left out, so the callee's default applies.
+    """
+    pairs = [(name, name) for name in names] + list(renamed.items())
+    return {param: opts[name] for param, name in pairs if name in opts}
 
 
-def cmd_ingest(args, config) -> int:
-    store = TurbineStore.open(Path(args.store))
-    skip = _resolve(args, config, "skip-invalid", False, parse_bool)
-    if not args.operational and not args.status:
+def cmd_ingest(opts) -> int:
+    store = TurbineStore.open(Path(opts["store"]))
+    turbine = opts["turbine"]
+    skip = _given(opts, "skip_invalid")
+    if "operational" not in opts and "status" not in opts:
         raise UsageError("ingest needs --operational and/or --status")
     total = 0
     warnings = []
-    if args.operational:
-        data = Path(args.operational).read_bytes()
-        records = parse_operational_csv(data, store.manifest.parameters, args.turbine)
-        n, warns = store.append(args.turbine, records, skip_invalid=skip)
+    if "operational" in opts:
+        data = Path(opts["operational"]).read_bytes()
+        records = parse_operational_csv(data, store.manifest.parameters, turbine)
+        n, warns = store.append(turbine, records, **skip)
         total += n
         warnings += warns
-    if args.status:
-        data = Path(args.status).read_bytes()
-        events = parse_status_csv(data, store.manifest.alarms, args.turbine)
-        n, warns = store.append(args.turbine, events, skip_invalid=skip)
+    if "status" in opts:
+        data = Path(opts["status"]).read_bytes()
+        events = parse_status_csv(data, store.manifest.alarms, turbine)
+        n, warns = store.append(turbine, events, **skip)
         total += n
         warnings += warns
     for w in warnings:
@@ -201,51 +123,40 @@ def cmd_ingest(args, config) -> int:
     return 0
 
 
-def cmd_select_features(args, config) -> int:
-    store = TurbineStore.open(Path(args.store))
-    start, end = parse_rfc3339(args.start), parse_rfc3339(args.end)
-    ops = list(store.scan_operational(args.turbine, start, end))
+def cmd_select_features(opts) -> int:
+    store = TurbineStore.open(Path(opts["store"]))
+    turbine = opts["turbine"]
+    start, end = parse_rfc3339(opts["start"]), parse_rfc3339(opts["end"])
+    ops = list(store.scan_operational(turbine, start, end))
     matrix = FeatureMatrix(np.asarray([r.values for r in ops]), list(store.manifest.parameters))
-    report = select_parameters(
-        matrix,
-        variance_threshold=_resolve(args, config, "variance-threshold", 0.99, float),
-        correlation_threshold=_resolve(args, config, "correlation-threshold", 0.95, float),
-    )
+    report = select_parameters(matrix, **_given(opts, "variance_threshold", "correlation_threshold"))
     print(report.to_text(), end="")
-    if args.out:
-        out = Path(args.out)
+    if "out" in opts:
+        out = Path(opts["out"])
         out.mkdir(parents=True, exist_ok=True)
-        atomic_write(out / f"selection_{args.turbine}.txt", report.to_text().encode("utf-8"))
-        atomic_write(out / f"selection_{args.turbine}.json", report.to_json().encode("utf-8"))
+        atomic_write(out / f"selection_{turbine}.txt", report.to_text().encode("utf-8"))
+        atomic_write(out / f"selection_{turbine}.json", report.to_json().encode("utf-8"))
     return 0
 
 
-def cmd_mine_patterns(args, config) -> int:
-    store = TurbineStore.open(Path(args.store))
-    start, end = parse_rfc3339(args.start), parse_rfc3339(args.end)
-    events = list(store.scan_status(args.turbine, start, end))
-    transactions = build_transactions(events, args.turbine, start, end)
-    mined = mine_patterns(
-        transactions,
-        set(store.manifest.critical_alarms),
-        min_support=_resolve(args, config, "min-support", 0.01, float),
-        max_patterns=_resolve(args, config, "max-patterns", 8, int),
-    )
-    text = patterns_report(mined, args.turbine)
+def cmd_mine_patterns(opts) -> int:
+    store = TurbineStore.open(Path(opts["store"]))
+    turbine = opts["turbine"]
+    start, end = parse_rfc3339(opts["start"]), parse_rfc3339(opts["end"])
+    events = list(store.scan_status(turbine, start, end))
+    transactions = build_transactions(events, turbine, start, end)
+    mined = mine_patterns(transactions, set(store.manifest.critical_alarms),
+                          **_given(opts, "min_support", "max_patterns"))
+    text = patterns_report(mined, turbine)
     print(text, end="")
-    if args.out:
-        atomic_write(args.out, text.encode("utf-8"))
+    if "out" in opts:
+        atomic_write(opts["out"], text.encode("utf-8"))
     return 0
 
 
-def cmd_train(args, config) -> int:
-    overrides = {
-        "seed": _resolve(args, config, "seed"),
-        "n_trees": _resolve(args, config, "n-trees"),
-        "max_depth": _resolve(args, config, "max-depth"),
-        "output_dir": _resolve(args, config, "output-dir"),
-    }
-    plan = trainer_mod.parse_plan(Path(args.plan), overrides)
+def cmd_train(opts) -> int:
+    overrides = _given(opts, "seed", "n_trees", "max_depth", "output_dir")
+    plan = trainer_mod.parse_plan(Path(opts["plan"]), overrides)
     report = trainer_mod.run(plan)
     fleet = report.fleet_accuracy()
     print(f"completed {len(report.completed)} models, skipped {len(report.skipped)}")
@@ -256,44 +167,44 @@ def cmd_train(args, config) -> int:
     return 0
 
 
-def cmd_evaluate(args, config) -> int:
-    bundle = load_model(Path(args.model))
-    if args.dump:
+def cmd_evaluate(opts) -> int:
+    bundle = load_model(Path(opts["model"]))
+    if opts.get("dump"):
         print(dump_text(bundle), end="")
         return 0
-    d = load_dataset(Path(args.dataset))
+    d = load_dataset(Path(opts["dataset"]))
     pred = predict_batch(bundle.forest, d.features)
     report = evaluate(confusion(pred.tolist(), d.labels.tolist(), d.class_ids))
     header, rows = evaluation_csv_rows({bundle.horizon_minutes: report})
     print(", ".join(header))
     print(", ".join(rows[0]))
-    if args.out:
-        write_evaluation_csv({bundle.horizon_minutes: report}, Path(args.out))
+    if "out" in opts:
+        write_evaluation_csv({bundle.horizon_minutes: report}, Path(opts["out"]))
     return 0
 
 
-def cmd_grid_search(args, config) -> int:
-    d = load_dataset(Path(args.dataset))
+def cmd_grid_search(opts) -> int:
+    d = load_dataset(Path(opts["dataset"]))
     result = grid_search(
         d,
-        _parse_range_spec(args.trees),
-        _parse_range_spec(args.depth),
-        seed=args.seed,
+        opts.get("trees", DEFAULT_TREES_GRID),
+        opts.get("depth", DEFAULT_DEPTH_GRID),
+        **_given(opts, "seed"),
     )
-    write_grid_csv(result, Path(args.out))
-    print(f"wrote {len(result.cells)} cells to {args.out}")
+    write_grid_csv(result, Path(opts["out"]))
+    print(f"wrote {len(result.cells)} cells to {opts['out']}")
     return 0
 
 
-def cmd_serve(args, config) -> int:
-    store = TurbineStore.open(Path(args.store))
+def cmd_serve(opts) -> int:
+    store = TurbineStore.open(Path(opts["store"]))
     manifest = store.manifest
-    turbines = args.turbines.split(",") if args.turbines else list(manifest.turbines)
-    broker = Broker(Path(args.broker))
+    turbines = opts.get("turbines") or list(manifest.turbines)
+    broker = Broker(Path(opts["broker"]))
     agent = agent_mod.MonitoringAgent.start(
-        Path(args.models), broker, turbines, Path(args.sink), manifest,
-        allow_partial=args.allow_partial)
-    endpoint = AgentEndpoint(agent, host=args.host, port=args.port)
+        Path(opts["models"]), broker, turbines, Path(opts["sink"]), manifest,
+        **_given(opts, "allow_partial"))
+    endpoint = AgentEndpoint(agent, **_given(opts, "host", "port"))
     endpoint.start()
     agent.run_threaded()
     host, port = endpoint.address
@@ -316,34 +227,34 @@ def cmd_serve(args, config) -> int:
     return 0
 
 
-def cmd_simulate(args, config) -> int:
-    store_path = Path(args.store)
-    start = parse_rfc3339(args.start) if args.start else None
-    end = parse_rfc3339(args.end) if args.end else None
-    if args.days is not None:
+def cmd_simulate(opts) -> int:
+    store_path = Path(opts["store"])
+    start, end = opts.get("start"), opts.get("end")
+    if "days" in opts:
         store = TurbineStore.open(store_path)
-        stamps = [rec.timestamp
-                  for t in store.manifest.turbines
-                  for rec in store.scan_operational(t)]
+        # each turbine's log is ascending, so its first record is its earliest
+        firsts = [next(store.scan_operational(t), None) for t in store.manifest.turbines]
+        stamps = [rec.timestamp for rec in firsts if rec is not None]
         if stamps:
             start = min(stamps) if start is None else start
-            end = start + int(args.days * 86400)
-    speedup = None if args.speedup == "max" else float(args.speedup)
+            end = start + int(opts["days"] * 86400)
+    if opts.get("speedup") == "max":  # as fast as possible, the simulator's default
+        del opts["speedup"]
     cfg = simulator_mod.SimulatorConfig(
         store_path=store_path,
-        broker_path=Path(args.broker),
-        turbines=args.turbines.split(",") if args.turbines else [],
+        broker_path=Path(opts["broker"]),
         start=start,
         end=end,
-        speedup_ms_per_step=speedup,
+        **_given(opts, "turbines", speedup_ms_per_step="speedup"),
     )
     published = simulator_mod.replay(cfg)
     print(f"published {published} messages")
     return 0
 
 
-def cmd_status(args, config) -> int:
-    url = args.endpoint.rstrip("/") + "/health"
+def cmd_status(opts) -> int:
+    endpoint = opts.get("endpoint", f"http://{DEFAULT_HOST}:{DEFAULT_PORT}")
+    url = endpoint.rstrip("/") + "/health"
     try:
         with urllib.request.urlopen(url, timeout=5.0) as resp:
             doc = json.loads(resp.read().decode("utf-8"))
@@ -353,19 +264,14 @@ def cmd_status(args, config) -> int:
     return 0
 
 
-def cmd_synth(args, config) -> int:
+def cmd_synth(opts) -> int:
     cfg = synth_mod.SynthConfig(
-        out_dir=Path(args.out),
-        seed=args.seed,
-        n_turbines=args.turbines,
-        days=args.days,
-        n_parameters=args.parameters,
-        n_alarms=args.alarms,
-        signal_scale=args.signal_scale,
-        noise_scale=args.noise_scale,
+        out_dir=Path(opts["out"]),
+        **_given(opts, "seed", "days", "signal_scale", "noise_scale",
+                 n_turbines="turbines", n_parameters="parameters", n_alarms="alarms"),
     )
     _store, truth = synth_mod.generate(cfg)
-    print(f"generated {cfg.n_turbines} turbines x {cfg.n_slots} slots at {args.out}")
+    print(f"generated {cfg.n_turbines} turbines x {cfg.n_slots} slots at {opts['out']}")
     for i, p in enumerate(truth.patterns, start=1):
         occupancies = [truth.occupancy(t, i) for t in cfg.turbine_names]
         print(f"  planted pattern {i} {sorted(p.alarms)}: "
@@ -373,18 +279,136 @@ def cmd_synth(args, config) -> int:
     return 0
 
 
+class _Opt(NamedTuple):
+    """An optional option; a ``parse_bool`` cast makes it a switch."""
+    name: str
+    cast: Callable = str
+    help: str | None = None
+
+
+class _Command(NamedTuple):
+    run: Callable[[dict], int]
+    help: str
+    required: tuple[str, ...]
+    options: tuple[_Opt, ...] = ()
+
+
 _COMMANDS = {
-    "ingest": cmd_ingest,
-    "select-features": cmd_select_features,
-    "mine-patterns": cmd_mine_patterns,
-    "train": cmd_train,
-    "evaluate": cmd_evaluate,
-    "grid-search": cmd_grid_search,
-    "serve": cmd_serve,
-    "simulate": cmd_simulate,
-    "status": cmd_status,
-    "synth": cmd_synth,
+    "ingest": _Command(
+        cmd_ingest, "parse CSV files and append them to a turbine store", ("store", "turbine"), (
+            _Opt("operational", help="operational CSV file"),
+            _Opt("status", help="status CSV file"),
+            _Opt("skip-invalid", parse_bool,
+                 "count and skip invalid rows instead of rejecting the file"))),
+    "select-features": _Command(
+        cmd_select_features, "run the parameter reduction funnel",
+        ("store", "turbine", "start", "end"), (
+            _Opt("variance-threshold", float),
+            _Opt("correlation-threshold", float),
+            _Opt("out", help="directory for the text + JSON reports"))),
+    "mine-patterns": _Command(
+        cmd_mine_patterns, "mine critical alarm patterns (failure classes)",
+        ("store", "turbine", "start", "end"), (
+            _Opt("min-support", float),
+            _Opt("max-patterns", int),
+            _Opt("out", help="write the pattern report here as well as stdout"))),
+    "train": _Command(
+        cmd_train, "run a training plan end to end", ("plan",), (
+            _Opt("seed", int),
+            _Opt("n-trees", int),
+            _Opt("max-depth", int),
+            _Opt("output-dir"))),
+    "evaluate": _Command(
+        cmd_evaluate, "evaluate a model bundle against a dataset CSV", ("model", "dataset"), (
+            _Opt("out", help="write a one-row evaluation CSV here"),
+            _Opt("dump", parse_bool, "print the bundle text dump instead"))),
+    "grid-search": _Command(
+        cmd_grid_search, "accuracy/cost grid over forest hyperparameters", ("dataset", "out"), (
+            _Opt("trees", _parse_range_spec, "e.g. 5..100:5 or 10,40,80"),
+            _Opt("depth", _parse_range_spec),
+            _Opt("seed", int))),
+    "serve": _Command(
+        cmd_serve, "run broker consumer + agent + streaming endpoint",
+        ("store", "models", "broker", "sink"), (
+            _Opt("turbines", _names, "comma-separated subset (default: manifest)"),
+            _Opt("host"),
+            _Opt("port", int),
+            _Opt("allow-partial", parse_bool))),
+    "simulate": _Command(
+        cmd_simulate, "replay stored telemetry into broker topics", ("store", "broker"), (
+            _Opt("turbines", _names),
+            _Opt("start", parse_rfc3339),
+            _Opt("end", parse_rfc3339),
+            _Opt("days", float, "limit to the first N days of the store range"),
+            _Opt("speedup", _speedup,
+                 "'max' or milliseconds per simulated 10-minute step (600000 = real time)"))),
+    "status": _Command(
+        cmd_status, "query a running agent's health endpoint", (), (
+            _Opt("endpoint"),)),
+    "synth": _Command(
+        cmd_synth, "generate a deterministic synthetic turbine store", ("out",), (
+            _Opt("seed", int),
+            _Opt("turbines", int),
+            _Opt("days", float),
+            _Opt("parameters", int),
+            _Opt("alarms", int),
+            _Opt("signal-scale", float),
+            _Opt("noise-scale", float))),
 }
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="windpdm", description=__doc__.splitlines()[0])
+    parser.add_argument("--config", help="key = value config file supplying option defaults")
+    sub = parser.add_subparsers(dest="command", metavar="command")
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in command.required:
+            p.add_argument("--" + flag, required=True)
+        for opt in command.options:
+            if opt.cast is parse_bool:
+                p.add_argument("--" + opt.name, action="store_true", default=None, help=opt.help)
+            else:
+                p.add_argument("--" + opt.name, type=opt.cast, help=opt.help)
+    return parser
+
+
+def _load_config(path: str | None) -> dict[str, str]:
+    if not path:
+        return {}
+    config = parse_key_values(Path(path).read_text(encoding="utf-8"))
+    known = {opt.name for command in _COMMANDS.values() for opt in command.options}
+    unknown = sorted(set(config) - known)
+    if unknown:
+        raise DataError(f"unknown config keys in {path}: {', '.join(unknown)}")
+    return config
+
+
+def _cast(opt: _Opt, raw: str, source: str):
+    try:
+        return opt.cast(raw)
+    except (ValueError, DataError) as exc:
+        raise DataError(f"bad value {raw!r} from {source}: {exc}") from None
+
+
+def _resolve(args, command: _Command, config: dict[str, str]) -> dict:
+    """The required flags plus every option that resolved to a value.
+
+    flag > WINDPDM_<OPTION> > --config; an option none of them sets is left
+    out, so the command's callee applies its own default.
+    """
+    opts = {flag: getattr(args, flag) for flag in command.required}
+    for opt in command.options:
+        dest = opt.name.replace("-", "_")
+        value = getattr(args, dest)
+        env = "WINDPDM_" + dest.upper()
+        if value is None and env in os.environ:
+            value = _cast(opt, os.environ[env], env)
+        elif value is None and opt.name in config:
+            value = _cast(opt, config[opt.name], f"--config key {opt.name}")
+        if value is not None:
+            opts[dest] = value
+    return opts
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -394,21 +418,15 @@ def main(argv: list[str] | None = None) -> int:
         if not args.command:
             parser.print_help()
             return 1
-        config = _load_config(args.config)
-        return _COMMANDS[args.command](args, config)
+        command = _COMMANDS[args.command]
+        return command.run(_resolve(args, command, _load_config(args.config)))
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 1
     except DataError as exc:
         print(f"error: data: {exc}", file=sys.stderr)
         return 2
-    except RuntimeFailure as exc:
-        print(f"error: runtime: {exc}", file=sys.stderr)
-        return 3
-    except WindPdmError as exc:
-        print(f"error: runtime: {exc}", file=sys.stderr)
-        return 3
-    except (OSError, ValueError) as exc:
+    except (WindPdmError, OSError, ValueError) as exc:
         print(f"error: runtime: {exc}", file=sys.stderr)
         return 3
 

@@ -19,6 +19,9 @@ from urllib.parse import parse_qs, urlparse
 
 from .agent import MonitoringAgent
 
+DEFAULT_HOST = "127.0.0.1"
+DEFAULT_PORT = 8787
+
 _WAIT_S = 0.25  # longest wait for an append, so stop() ends handlers promptly
 
 
@@ -85,7 +88,7 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class AgentEndpoint:
-    def __init__(self, agent: MonitoringAgent, host: str = "127.0.0.1", port: int = 8787):
+    def __init__(self, agent: MonitoringAgent, host: str = DEFAULT_HOST, port: int = DEFAULT_PORT):
         self.stopping = threading.Event()
         handler = type("BoundHandler", (_Handler,), {"agent": agent, "stopping": self.stopping})
         self.server = ThreadingHTTPServer((host, port), handler)

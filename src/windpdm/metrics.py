@@ -113,12 +113,6 @@ class GridResult:
     cells: list[GridCell]
     seed: int
 
-    def cell(self, n_trees: int, max_depth: int) -> GridCell:
-        for c in self.cells:
-            if c.n_trees == n_trees and c.max_depth == max_depth:
-                return c
-        raise KeyError((n_trees, max_depth))
-
 
 DEFAULT_TREES_GRID = list(range(5, 101, 5))
 DEFAULT_DEPTH_GRID = list(range(5, 31, 5))

@@ -4,7 +4,10 @@ import sys
 
 import pytest
 
+from windpdm import cli
 from windpdm.cli import _parse_range_spec, main
+from windpdm.ingest import TurbineStore
+from windpdm.manifest import parse_bool
 from windpdm.timeutil import format_rfc3339
 
 from conftest import T0
@@ -134,6 +137,124 @@ class TestConfigPrecedence:
                        "--end", "2015-01-05T00:00:00Z",
                        "--max-patterns", "5") == 0
         assert "Class 2:" in capsys.readouterr().out
+
+
+# two sample values per cast: (text from a flag, the environment or a config
+# file, the value the command receives)
+_SAMPLES = {
+    str: [("a", "a"), ("b", "b")],
+    int: [("3", 3), ("4", 4)],
+    float: [("0.5", 0.5), ("0.25", 0.25)],
+    parse_bool: [("true", True), ("false", False)],
+    cli._names: [("T01,T02", ["T01", "T02"]), ("T03", ["T03"])],
+    cli._parse_range_spec: [("2,4", [2, 4]), ("1..3", [1, 2, 3])],
+    cli._speedup: [("5", 5.0), ("max", "max")],
+    cli.parse_rfc3339: [("2015-01-01T00:00:00Z", T0), ("2015-01-02T00:00:00Z", T0 + 86400)],
+}
+
+_OPTIONS = [(name, opt) for name, command in cli._COMMANDS.items() for opt in command.options]
+
+
+class TestEveryOptionResolves:
+    """flag > WINDPDM_<OPTION> > --config > unset, for every optional option."""
+
+    @pytest.mark.parametrize("command,opt", _OPTIONS,
+                             ids=[f"{c}--{o.name}" for c, o in _OPTIONS])
+    def test_sources_in_order(self, command, opt, tmp_path, monkeypatch):
+        (a, a_value), (b, b_value) = _SAMPLES[opt.cast]
+        received = {}
+
+        def capture(opts):
+            received.clear()
+            received.update(opts)
+            return 0
+
+        monkeypatch.setitem(cli._COMMANDS, command, cli._COMMANDS[command]._replace(run=capture))
+        dest = opt.name.replace("-", "_")
+        env = "WINDPDM_" + dest.upper()
+        monkeypatch.delenv(env, raising=False)
+        config = tmp_path / "conf"
+        argv = [command] + [v for flag in cli._COMMANDS[command].required for v in ("--" + flag, "x")]
+        flag = ["--" + opt.name] if opt.cast is parse_bool else ["--" + opt.name, a]
+
+        assert run_cli(*argv) == 0
+        assert dest not in received  # unset: the callee's default applies
+
+        config.write_text(f"{opt.name} = {a}\n")
+        assert run_cli("--config", str(config), *argv) == 0
+        assert received[dest] == a_value
+
+        monkeypatch.setenv(env, b)
+        assert run_cli("--config", str(config), *argv) == 0
+        assert received[dest] == b_value
+
+        config.write_text(f"{opt.name} = {b}\n")
+        assert run_cli("--config", str(config), *argv, *flag) == 0
+        assert received[dest] == a_value
+
+
+class TestBadOptionSources:
+    @pytest.fixture
+    def mine(self, synth_store):
+        return ["mine-patterns", "--store", str(synth_store), "--turbine", "T01",
+                "--start", "2015-01-01T00:00:00Z", "--end", "2015-01-05T00:00:00Z"]
+
+    def test_bad_env_value_is_a_data_error_naming_it(self, mine, capsys, monkeypatch):
+        monkeypatch.setenv("WINDPDM_MIN_SUPPORT", "abc")
+        assert run_cli(*mine) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and "WINDPDM_MIN_SUPPORT" in err
+
+    def test_bad_config_value_is_a_data_error_naming_it(self, mine, tmp_path, capsys):
+        config = tmp_path / "conf"
+        config.write_text("min-support = abc\n")
+        assert run_cli("--config", str(config), *mine) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and "--config key min-support" in err
+
+    def test_unknown_config_keys_rejected(self, mine, tmp_path, capsys):
+        config = tmp_path / "conf"
+        config.write_text("min_support = 0.9\nmax-patterns = 3\nbogus = 1\n")
+        assert run_cli("--config", str(config), *mine) == 2
+        err = capsys.readouterr().err
+        assert "bogus" in err and "min_support" in err and "max-patterns" not in err
+
+
+class TestOptionsReachTheLibrary:
+    def test_env_days_sets_synth_slots(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("WINDPDM_DAYS", "1")
+        out = tmp_path / "store"
+        assert run_cli("synth", "--out", str(out)) == 0
+        assert " x 144 slots " in capsys.readouterr().out
+        store = TurbineStore.open(out)
+        for turbine in store.manifest.turbines:
+            assert sum(1 for _ in store.scan_operational(turbine)) == 144
+
+    def test_env_and_config_shape_the_grid(self, trained, tmp_path, monkeypatch):
+        config = tmp_path / "conf"
+        config.write_text("depth = 3\n")
+        monkeypatch.setenv("WINDPDM_TREES", "2")
+        out = tmp_path / "grid.csv"
+        assert run_cli("--config", str(config), "grid-search",
+                       "--dataset", str(trained / "datasets" / "T01" / "horizon_10.csv"),
+                       "--out", str(out)) == 0
+        assert len(out.read_text().splitlines()) == 2  # header and one cell
+
+    def test_simulate_days_parses_one_record_per_turbine(self, tmp_path, monkeypatch):
+        from windpdm import ingest, simulator
+
+        store = tmp_path / "store"
+        assert run_cli("synth", "--out", str(store), "--turbines", "2", "--days", "3") == 0
+        parsed = []
+        parse_row = ingest.parse_operational_row
+        monkeypatch.setattr(ingest, "parse_operational_row",
+                            lambda *a: parsed.append(a) or parse_row(*a))
+        configs = []
+        monkeypatch.setattr(simulator, "replay", lambda cfg: configs.append(cfg) or 0)
+        assert run_cli("simulate", "--store", str(store), "--broker", str(tmp_path / "b"),
+                       "--days", "1") == 0
+        assert len(parsed) == 2
+        assert (configs[0].start, configs[0].end) == (T0, T0 + 86400)
 
 
 class TestSkipInvalid:
