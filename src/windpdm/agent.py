@@ -42,7 +42,7 @@ from .errors import (
 from .forest import predict
 from .ingest import parse_operational_row
 from .manifest import Manifest
-from .model_io import ModelBundle, load_model
+from .model_io import ModelBundle, bundle_path, load_model
 from .patterns import HORIZONS_MINUTES
 from .timeutil import format_rfc3339, parse_rfc3339
 
@@ -150,10 +150,6 @@ class NotificationSink:
                 n -= count
                 pos += len(block)
         return pos, n
-
-
-def bundle_path(models_dir: Path, turbine_id: str, horizon_minutes: int) -> Path:
-    return Path(models_dir) / turbine_id / f"horizon_{horizon_minutes}.model"
 
 
 def load_turbine_bundles(models_dir: Path, turbines: list[str]) -> dict[str, dict[int, ModelBundle]]:

@@ -25,7 +25,6 @@ publisher process and one consumer process per topic sharing the directory.
 
 from __future__ import annotations
 
-import re
 import struct
 import threading
 import time
@@ -36,11 +35,11 @@ from pathlib import Path
 
 from .durable import append_at, atomic_write, fsync_dir
 from .errors import OffsetAhead, StorageFailure, TopicExists, UnknownTopic
+from .manifest import NAME_RE
 
 _FRAME_HEADER = struct.Struct("<IIQd")  # payload len, crc32(payload), offset, publish ts
 SEGMENT_SUFFIX = ".log"
 DEFAULT_SEGMENT_BYTES = 64 * 1024 * 1024
-TOPIC_NAME_RE = re.compile(r"^[A-Za-z0-9_.+-]+$")
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,7 @@ class Broker:
             raise UnknownTopic(f"topic {topic!r} does not exist") from None
 
     def create_topic(self, name: str) -> str:
-        if not TOPIC_NAME_RE.match(name):
+        if not NAME_RE.match(name):  # a topic is a directory, named like a turbine
             raise UnknownTopic(f"invalid topic name {name!r}")
         with self._registry_lock:
             if name in self._topics or (self.root / name).exists():

@@ -39,16 +39,14 @@ from .durable import atomic_write
 from .endpoint import DEFAULT_HOST, DEFAULT_PORT, AgentEndpoint
 from .errors import DataError, RuntimeFailure, WindPdmError
 from .features import FeatureMatrix, select_parameters
-from .forest import predict_batch
 from .ingest import TurbineStore, parse_operational_csv, parse_status_csv
 from .manifest import parse_bool, parse_key_values
 from .metrics import (
     DEFAULT_DEPTH_GRID,
     DEFAULT_TREES_GRID,
-    confusion,
-    evaluate,
     evaluation_csv_rows,
     grid_search,
+    score,
     write_evaluation_csv,
     write_grid_csv,
 )
@@ -173,8 +171,7 @@ def cmd_evaluate(opts) -> int:
         print(dump_text(bundle), end="")
         return 0
     d = load_dataset(Path(opts["dataset"]))
-    pred = predict_batch(bundle.forest, d.features)
-    report = evaluate(confusion(pred.tolist(), d.labels.tolist(), d.class_ids))
+    report = score(bundle.forest, d)
     header, rows = evaluation_csv_rows({bundle.horizon_minutes: report})
     print(", ".join(header))
     print(", ".join(rows[0]))

@@ -22,6 +22,7 @@ from .ingest import OperationalRecord
 from .patterns import ClassTimeline, HORIZONS_MINUTES
 
 VALID_HORIZONS = frozenset(HORIZONS_MINUTES)
+DEFAULT_TRAIN_FRACTION = 2.0 / 3.0
 
 
 @dataclass
@@ -41,10 +42,6 @@ class HorizonDataset:
 
     def class_counts(self) -> dict[int, int]:
         return {c: int(np.sum(self.labels == c)) for c in self.class_ids}
-
-    def class_percentages(self) -> dict[int, float]:
-        n = self.n_rows
-        return {c: 100.0 * count / n for c, count in self.class_counts().items()}
 
 
 @dataclass
@@ -99,7 +96,7 @@ def label_records(
     )
 
 
-def stratified_split(d: HorizonDataset, train_fraction: float = 2.0 / 3.0, seed: int = 0) -> SplitResult:
+def stratified_split(d: HorizonDataset, train_fraction: float = DEFAULT_TRAIN_FRACTION, seed: int = 0) -> SplitResult:
     """Deterministic per-class split; proportions preserved within one row.
 
     Classes with fewer than 2 rows cannot be split; their rows stay in the

@@ -17,6 +17,9 @@ import numpy as np
 
 from .errors import ConstantColumn, DegenerateMatrix
 
+DEFAULT_VARIANCE_THRESHOLD = 0.99
+DEFAULT_CORRELATION_THRESHOLD = 0.95
+
 
 @dataclass
 class FeatureMatrix:
@@ -50,8 +53,6 @@ class FeatureMatrix:
 @dataclass
 class StandardizedMatrix:
     matrix: FeatureMatrix
-    mean: np.ndarray
-    scale: np.ndarray  # standard deviation (n-1 denominator) per kept column
     dropped_constant: list[str]
 
 
@@ -60,8 +61,6 @@ class PcaResult:
     components: np.ndarray  # (p, p), one component per row, descending variance
     explained_variance_ratio: np.ndarray  # (p,), non-negative, sums to 1
     names: list[str]
-    mean: np.ndarray
-    scale: np.ndarray
 
 
 @dataclass
@@ -109,10 +108,6 @@ class SelectionReport:
             indent=2,
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "SelectionReport":
-        return cls(**json.loads(text))
-
 
 def standardize(m: FeatureMatrix) -> StandardizedMatrix:
     """Center and unit-scale each column (n-1 variance denominator).
@@ -125,11 +120,9 @@ def standardize(m: FeatureMatrix) -> StandardizedMatrix:
     if not np.any(keep):
         raise DegenerateMatrix("all columns are constant")
     kept_values = m.values[:, keep]
-    mean = kept_values.mean(axis=0)
-    scale = kept_values.std(axis=0, ddof=1)
-    standardized = (kept_values - mean) / scale
+    standardized = (kept_values - kept_values.mean(axis=0)) / kept_values.std(axis=0, ddof=1)
     names = [name for name, k in zip(m.names, keep) if k]
-    return StandardizedMatrix(FeatureMatrix(standardized, names), mean, scale, dropped)
+    return StandardizedMatrix(FeatureMatrix(standardized, names), dropped)
 
 
 def pca(sm: StandardizedMatrix) -> PcaResult:
@@ -151,10 +144,10 @@ def pca(sm: StandardizedMatrix) -> PcaResult:
         j = int(np.argmax(np.abs(components[i])))
         if components[i, j] < 0:
             components[i] = -components[i]
-    return PcaResult(components, ratios, list(sm.matrix.names), sm.mean, sm.scale)
+    return PcaResult(components, ratios, list(sm.matrix.names))
 
 
-def select_by_cumulative_variance(r: PcaResult, threshold: float = 0.99) -> tuple[list[str], int]:
+def select_by_cumulative_variance(r: PcaResult, threshold: float = DEFAULT_VARIANCE_THRESHOLD) -> tuple[list[str], int]:
     """Parameters carried by the leading components covering ``threshold``.
 
     k = smallest count of leading components whose ratio sum reaches the
@@ -189,7 +182,7 @@ def pearson_matrix(m: FeatureMatrix) -> np.ndarray:
     return corr
 
 
-def correlation_groups(corr: np.ndarray, names: list[str], threshold: float = 0.95) -> tuple[list[list[str]], list[str]]:
+def correlation_groups(corr: np.ndarray, names: list[str], threshold: float = DEFAULT_CORRELATION_THRESHOLD) -> tuple[list[list[str]], list[str]]:
     """Connected components of the |r| >= threshold graph.
 
     Returns (groups, representatives); the representative of a group is its
@@ -220,8 +213,8 @@ def correlation_groups(corr: np.ndarray, names: list[str], threshold: float = 0.
 
 def select_parameters(
     m: FeatureMatrix,
-    variance_threshold: float = 0.99,
-    correlation_threshold: float = 0.95,
+    variance_threshold: float = DEFAULT_VARIANCE_THRESHOLD,
+    correlation_threshold: float = DEFAULT_CORRELATION_THRESHOLD,
 ) -> SelectionReport:
     """Run the full funnel: standardize, PCA stage, Pearson grouping stage."""
     sm = standardize(m)

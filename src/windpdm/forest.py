@@ -29,6 +29,8 @@ import numpy as np
 from .errors import DimensionMismatch, EmptyInput, NonFiniteFeature
 
 LEAF = -1
+DEFAULT_N_TREES = 40
+DEFAULT_MAX_DEPTH = 25
 
 
 @dataclass
@@ -197,8 +199,8 @@ def train_forest(
     X: np.ndarray,
     y: np.ndarray,
     class_ids: list[int],
-    n_trees: int = 40,
-    max_depth: int = 25,
+    n_trees: int = DEFAULT_N_TREES,
+    max_depth: int = DEFAULT_MAX_DEPTH,
     features_per_split: int | None = None,
     seed: int = 0,
     bootstrap: bool = True,

@@ -7,6 +7,11 @@ Two record kinds, two append-only logs per turbine:
 * status events: alarm activations/deactivations at second resolution,
   CSV dialect ``timestamp,alarm_code,kind`` with kind in {A, D}.
 
+Both kinds are read the same way: the header line must match exactly (a
+mismatch names the expected header), then each non-blank line is one record,
+and an error names its line number. A store scan parses the log lines with
+the same row parsers and keeps the records of a time range.
+
 The store keeps one directory per turbine holding ``operational.log`` and
 ``status.log`` (log lines are exactly the CSV data lines), with the manifest
 at the store root. Appends are fsynced before returning, so an acknowledged
@@ -21,7 +26,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .durable import append_at, cut_torn_line, iter_lines
 from .errors import (
@@ -38,6 +43,7 @@ from .timeutil import format_rfc3339, is_slot_aligned, parse_rfc3339
 
 OPERATIONAL_LOG = "operational.log"
 STATUS_LOG = "status.log"
+STATUS_HEADER = "timestamp,alarm_code,kind"
 
 
 class EventKind(Enum):
@@ -69,25 +75,23 @@ class StatusEvent:
 Record = Union[OperationalRecord, StatusEvent]
 
 
-def _split_lines(data: bytes) -> list[str]:
-    text = data.decode("utf-8")
-    return text.split("\n")
+def _read_csv(data: bytes, header: str, parse_row: Callable, names, turbine_id: str) -> list:
+    """Check the header line, then parse each non-blank line after it with
+    ``parse_row(line, names, turbine_id, lineno)``."""
+    lines = data.decode("utf-8").split("\n")
+    got = lines[0].strip()
+    if not got:
+        raise MalformedRow("missing header line")
+    if got != header:
+        raise MalformedRow(f"header mismatch: expected {header!r}, got {got!r}")
+    return [parse_row(line.strip(), names, turbine_id, lineno)
+            for lineno, line in enumerate(lines[1:], start=2) if line.strip()]
 
 
 def parse_operational_csv(data: bytes, parameters: list[str], turbine_id: str) -> list[OperationalRecord]:
     """Parse operational CSV bytes (header + data lines) against a parameter list."""
-    lines = _split_lines(data)
-    if not lines or not lines[0].strip():
-        raise MalformedRow("missing header line")
-    expected_header = ",".join(["timestamp"] + parameters)
-    if lines[0].strip() != expected_header:
-        raise MalformedRow(f"header mismatch: expected {expected_header!r}, got {lines[0].strip()!r}")
-    records = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        records.append(parse_operational_row(line.strip(), parameters, turbine_id, lineno))
-    return records
+    header = ",".join(["timestamp"] + parameters)
+    return _read_csv(data, header, parse_operational_row, parameters, turbine_id)
 
 
 def parse_operational_row(line: str, parameters: list[str], turbine_id: str, lineno: int = 0) -> OperationalRecord:
@@ -111,18 +115,7 @@ def parse_operational_row(line: str, parameters: list[str], turbine_id: str, lin
 
 def parse_status_csv(data: bytes, alarm_dictionary: Iterable[str], turbine_id: str) -> list[StatusEvent]:
     """Parse status CSV bytes; alternation is validated at the store, not here."""
-    alarms = frozenset(alarm_dictionary)
-    lines = _split_lines(data)
-    if not lines or not lines[0].strip():
-        raise MalformedRow("missing header line")
-    if lines[0].strip() != "timestamp,alarm_code,kind":
-        raise MalformedRow(f"header mismatch: got {lines[0].strip()!r}")
-    events = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        events.append(parse_status_row(line.strip(), alarms, turbine_id, lineno))
-    return events
+    return _read_csv(data, STATUS_HEADER, parse_status_row, frozenset(alarm_dictionary), turbine_id)
 
 
 def parse_status_row(line: str, alarms: frozenset[str], turbine_id: str, lineno: int = 0) -> StatusEvent:
@@ -193,13 +186,13 @@ class TurbineStore:
         state = self._states.get(key)
         if state is not None:
             return state
-        path = self._log_path(turbine_id, log_name)
-        state = _LogState(cut_torn_line(path))
+        state = _LogState(cut_torn_line(self._log_path(turbine_id, log_name)))
+        rows = self._rows(turbine_id, log_name)
         if log_name == OPERATIONAL_LOG:
-            for rec in self._iter_operational(path, turbine_id):
+            for rec in rows:
                 state.last_ts = rec.timestamp
         else:
-            for ev in self._iter_status(path, turbine_id):
+            for ev in rows:
                 state.last_ts = ev.timestamp
                 if ev.kind is EventKind.ACTIVATION:
                     state.active_alarms.add(ev.alarm_code)
@@ -208,12 +201,20 @@ class TurbineStore:
         self._states[key] = state
         return state
 
-    def _iter_operational(self, path: Path, turbine_id: str) -> Iterator[OperationalRecord]:
-        return (parse_operational_row(line, self.manifest.parameters, turbine_id) for line in iter_lines(path))
+    def _rows(self, turbine_id: str, log_name: str) -> Iterator[Record]:
+        """The records of one stored log in file order; none if it does not exist yet."""
+        path = self._log_path(turbine_id, log_name)
+        if not path.exists():
+            return iter(())
+        if log_name == OPERATIONAL_LOG:
+            parse_row, names = parse_operational_row, self.manifest.parameters
+        else:
+            parse_row, names = parse_status_row, self.manifest.alarm_set
+        return (parse_row(line, names, turbine_id) for line in iter_lines(path))
 
-    def _iter_status(self, path: Path, turbine_id: str) -> Iterator[StatusEvent]:
-        alarms = self.manifest.alarm_set
-        return (parse_status_row(line, alarms, turbine_id) for line in iter_lines(path))
+    def _scan(self, turbine_id: str, log_name: str, start: int | None, end: int | None) -> Iterator[Record]:
+        return (rec for rec in self._rows(turbine_id, log_name)
+                if (start is None or rec.timestamp >= start) and (end is None or rec.timestamp < end))
 
     # -- operations -----------------------------------------------------------
 
@@ -275,16 +276,8 @@ class TurbineStore:
 
     def scan_operational(self, turbine_id: str, start: int | None = None, end: int | None = None) -> Iterator[OperationalRecord]:
         """Stored operational records with timestamp in [start, end), ascending."""
-        path = self._log_path(turbine_id, OPERATIONAL_LOG)
-        if not path.exists():
-            return iter(())
-        return (rec for rec in self._iter_operational(path, turbine_id)
-                if (start is None or rec.timestamp >= start) and (end is None or rec.timestamp < end))
+        return self._scan(turbine_id, OPERATIONAL_LOG, start, end)
 
     def scan_status(self, turbine_id: str, start: int | None = None, end: int | None = None) -> Iterator[StatusEvent]:
         """Stored status events with timestamp in [start, end), ascending."""
-        path = self._log_path(turbine_id, STATUS_LOG)
-        if not path.exists():
-            return iter(())
-        return (ev for ev in self._iter_status(path, turbine_id)
-                if (start is None or ev.timestamp >= start) and (end is None or ev.timestamp < end))
+        return self._scan(turbine_id, STATUS_LOG, start, end)

@@ -9,7 +9,9 @@ Format is a key-value text file, one declaration per line:
 
 ``critical_alarms`` is optional and defaults to the full alarm dictionary.
 Names must match ``[A-Za-z0-9_.+-]+`` so they can double as path components
-and CSV fields without quoting.
+and CSV fields without quoting; a name made only of dots is rejected, since
+``.`` and ``..`` would name the directory itself or its parent, and so is a
+trailing newline.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from pathlib import Path
 from .durable import atomic_write
 from .errors import DataError
 
-NAME_RE = re.compile(r"^[A-Za-z0-9_.+-]+$")
+NAME_RE = re.compile(r"^(?!\.+\Z)[A-Za-z0-9_.+-]+\Z")
 
 MANIFEST_FILENAME = "manifest.txt"
 

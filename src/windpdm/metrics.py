@@ -22,7 +22,7 @@ import numpy as np
 from .dataset import HorizonDataset, stratified_split
 from .durable import atomic_write
 from .errors import EmptyMatrix, LengthMismatch, UnknownLabel
-from .forest import predict_batch, train_forest
+from .forest import RandomForest, predict_batch, train_forest
 from .patterns import NORMAL_CLASS
 
 
@@ -98,6 +98,12 @@ def evaluate(m: ConfusionMatrix) -> EvaluationReport:
     )
 
 
+def score(forest: RandomForest, d: HorizonDataset) -> EvaluationReport:
+    """Evaluate the forest's predictions for every row of ``d``."""
+    pred = predict_batch(forest, d.features)
+    return evaluate(confusion(pred.tolist(), d.labels.tolist(), d.class_ids))
+
+
 @dataclass
 class GridCell:
     n_trees: int
@@ -123,7 +129,6 @@ def grid_search(
     trees_values: Sequence[int],
     depth_values: Sequence[int],
     seed: int = 0,
-    train_fraction: float = 2.0 / 3.0,
 ) -> GridResult:
     """Train and score one forest per (n_trees, max_depth) cell.
 
@@ -133,7 +138,7 @@ def grid_search(
     """
     if not trees_values or not depth_values:
         raise EmptyMatrix("grid value sets must be non-empty")
-    split = stratified_split(d, train_fraction=train_fraction, seed=seed)
+    split = stratified_split(d, seed=seed)
     train, test = split.train, split.test
     cells = []
     for n_trees in trees_values:
@@ -145,9 +150,7 @@ def grid_search(
                     n_trees=n_trees, max_depth=max_depth, seed=seed,
                 )
                 seconds = time.perf_counter() - begin
-                pred = predict_batch(forest, test.features)
-                report = evaluate(confusion(pred.tolist(), test.labels.tolist(), d.class_ids))
-                cells.append(GridCell(n_trees, max_depth, report.global_accuracy, seconds))
+                cells.append(GridCell(n_trees, max_depth, score(forest, test).global_accuracy, seconds))
             except Exception as exc:
                 raise type(exc)(f"grid cell (n_trees={n_trees}, max_depth={max_depth}): {exc}") from exc
     return GridResult(list(trees_values), list(depth_values), cells, seed)

@@ -42,6 +42,11 @@ class ModelBundle:
     format_version: int = FORMAT_VERSION
 
 
+def bundle_path(models_dir: Path, turbine_id: str, horizon_minutes: int) -> Path:
+    """Where a bundle lives: ``<models_dir>/<turbine>/horizon_<m>.model``."""
+    return Path(models_dir) / turbine_id / f"horizon_{horizon_minutes}.model"
+
+
 def _bundle_payload(b: ModelBundle) -> bytes:
     doc = {
         "turbine_id": b.turbine_id,

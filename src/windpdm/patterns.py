@@ -21,6 +21,8 @@ from .timeutil import SLOT_SECONDS, slot_floor
 
 NORMAL_CLASS = 0
 HORIZONS_MINUTES = (10, 20, 30, 40, 50, 60)
+DEFAULT_MIN_SUPPORT = 0.01
+DEFAULT_MAX_PATTERNS = 8
 
 
 @dataclass(frozen=True)
@@ -102,8 +104,8 @@ def build_transactions(events: list[StatusEvent], turbine_id: str, start: int, e
 def mine_patterns(
     transactions: list[Transaction],
     critical_alarms: set[str],
-    min_support: float = 0.01,
-    max_patterns: int = 8,
+    min_support: float = DEFAULT_MIN_SUPPORT,
+    max_patterns: int = DEFAULT_MAX_PATTERNS,
 ) -> list[StatusPattern]:
     """Maximal frequent critical-alarm itemsets, ranked by support.
 

@@ -35,7 +35,7 @@ from .timeutil import SLOT_SECONDS, parse_rfc3339
 
 GROUND_TRUTH_FILENAME = "ground_truth.json"
 
-DEFAULT_START = parse_rfc3339("2015-01-01T00:00:00Z")
+START = parse_rfc3339("2015-01-01T00:00:00Z")  # first slot of every generated store
 
 _PARAMETER_POOL = [
     "wind_speed", "rotor_rpm", "gen_rpm", "power_kw", "gen_temp", "gearbox_temp",
@@ -49,6 +49,8 @@ _ALARM_POOL = [
 ]
 
 PRODROME_SLOTS = 6  # one hour of lead signal before each episode
+EPISODE_SLOTS = 18  # 3 hours; at least 13 so both ramps fit
+N_CRITICAL = 4  # the first alarms of the dictionary are the critical ones
 
 
 @dataclass(frozen=True)
@@ -63,11 +65,8 @@ class SynthConfig:
     seed: int = 1
     n_turbines: int = 2
     days: float = 10.0
-    start: int = DEFAULT_START
     n_parameters: int = 12
     n_alarms: int = 6
-    n_critical: int = 4
-    episode_slots: int = 18  # 3 hours
     signal_scale: float = 1.0
     noise_scale: float = 0.1
     planted: list[PlantedPattern] = field(default_factory=list)
@@ -76,10 +75,12 @@ class SynthConfig:
         self.out_dir = Path(self.out_dir)
         if self.n_parameters < 8:
             raise ValueError("need at least 8 parameters for the planted signatures")
-        if self.n_alarms < self.n_critical or self.n_critical < 3:
-            raise ValueError("need n_alarms >= n_critical >= 3")
-        if self.episode_slots < 13:
-            raise ValueError("episodes must be at least 13 slots so both ramps fit")
+        if self.n_alarms < N_CRITICAL:
+            raise ValueError(f"need n_alarms >= {N_CRITICAL}")
+
+    @property
+    def start(self) -> int:
+        return START
 
     @property
     def n_slots(self) -> int:
@@ -106,7 +107,7 @@ class SynthConfig:
     def planted_patterns(self) -> list[PlantedPattern]:
         if self.planted:
             return self.planted
-        critical = self.alarm_names[: self.n_critical]
+        critical = self.alarm_names[:N_CRITICAL]
         return [
             PlantedPattern(frozenset(critical[0:2]), 0.10),
             PlantedPattern(frozenset(critical[2:3]), 0.05),
@@ -156,11 +157,11 @@ class GroundTruth:
 def _plan_episodes(cfg: SynthConfig, rng: np.random.Generator) -> list[tuple[int, int]]:
     """(pattern_index 1-based, start_slot) pairs; episodes never overlap and
     keep a 6-slot prodrome gap before and a 7-slot margin after."""
-    block = PRODROME_SLOTS + cfg.episode_slots + 7
+    block = PRODROME_SLOTS + EPISODE_SLOTS + 7
     n_blocks = cfg.n_slots // block
     patterns = cfg.planted_patterns()
     wanted = [
-        int(round(p.target_occupancy * cfg.n_slots / cfg.episode_slots))
+        int(round(p.target_occupancy * cfg.n_slots / EPISODE_SLOTS))
         for p in patterns
     ]
     if sum(wanted) > n_blocks:
@@ -192,7 +193,7 @@ def generate(cfg: SynthConfig) -> tuple[TurbineStore, GroundTruth]:
     alarms = cfg.alarm_names
     patterns = cfg.planted_patterns()
     for p in patterns:
-        if not p.alarms <= set(alarms[: cfg.n_critical]):
+        if not p.alarms <= set(alarms[:N_CRITICAL]):
             raise ValueError(f"planted pattern {sorted(p.alarms)} uses non-critical alarms")
     if 3 * len(patterns) > cfg.n_parameters - 2:
         raise ValueError("not enough parameters for disjoint signatures plus fillers")
@@ -201,7 +202,7 @@ def generate(cfg: SynthConfig) -> tuple[TurbineStore, GroundTruth]:
         parameters=params,
         alarms=alarms,
         turbines=cfg.turbine_names,
-        critical_alarms=alarms[: cfg.n_critical],
+        critical_alarms=alarms[:N_CRITICAL],
     )
     store = TurbineStore.create(cfg.out_dir, manifest)
     truth = GroundTruth(patterns=patterns, labels={}, start=cfg.start, n_slots=cfg.n_slots)
@@ -216,17 +217,17 @@ def generate(cfg: SynthConfig) -> tuple[TurbineStore, GroundTruth]:
         offset_level = np.zeros(cfg.n_slots)
         onset_pattern = np.zeros(cfg.n_slots, dtype=np.int64)
         for pi, start_slot in episodes:
-            for s in range(start_slot, start_slot + cfg.episode_slots):
+            for s in range(start_slot, start_slot + EPISODE_SLOTS):
                 labels[s] = pi
             for d in range(1, PRODROME_SLOTS + 1):  # d slots before the episode
                 s = start_slot - d
                 onset_level[s] = (PRODROME_SLOTS + 1 - d) / (PRODROME_SLOTS + 1)
                 onset_pattern[s] = pi
-            for s in range(start_slot, start_slot + cfg.episode_slots):
+            for s in range(start_slot, start_slot + EPISODE_SLOTS):
                 onset_level[s] = 1.0
                 onset_pattern[s] = pi
             for u in range(1, PRODROME_SLOTS + 1):  # u slots before the episode ends
-                s = start_slot + cfg.episode_slots - u
+                s = start_slot + EPISODE_SLOTS - u
                 offset_level[s] = (PRODROME_SLOTS + 1 - u) / (PRODROME_SLOTS + 1)
         truth.labels[turbine] = labels
 
@@ -267,7 +268,7 @@ def generate(cfg: SynthConfig) -> tuple[TurbineStore, GroundTruth]:
         events: list[StatusEvent] = []
         for pi, start_slot in episodes:
             begin_ts = cfg.start + start_slot * SLOT_SECONDS
-            end_ts = cfg.start + (start_slot + cfg.episode_slots) * SLOT_SECONDS
+            end_ts = cfg.start + (start_slot + EPISODE_SLOTS) * SLOT_SECONDS
             for i, code in enumerate(sorted(patterns[pi - 1].alarms)):
                 # keep the interval strictly inside the episode's slots
                 events.append(StatusEvent(turbine, begin_ts + i, code, EventKind.ACTIVATION))

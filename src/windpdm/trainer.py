@@ -24,16 +24,24 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import label_records, stratified_split
+from .dataset import DEFAULT_TRAIN_FRACTION, label_records, save_dataset, stratified_split
 from .durable import atomic_write
 from .errors import DataError, PlanInvalid, RuntimeFailure
-from .features import FeatureMatrix, SelectionReport, select_parameters
-from .forest import predict_batch, train_forest
+from .features import (
+    DEFAULT_CORRELATION_THRESHOLD,
+    DEFAULT_VARIANCE_THRESHOLD,
+    FeatureMatrix,
+    SelectionReport,
+    select_parameters,
+)
+from .forest import DEFAULT_MAX_DEPTH, DEFAULT_N_TREES, train_forest
 from .ingest import TurbineStore
 from .manifest import parse_bool, parse_key_values, parse_name_list
-from .metrics import EvaluationReport, confusion, evaluate, write_evaluation_csv
-from .model_io import ModelBundle, save_model
+from .metrics import EvaluationReport, score, write_evaluation_csv
+from .model_io import ModelBundle, bundle_path, save_model
 from .patterns import (
+    DEFAULT_MAX_PATTERNS,
+    DEFAULT_MIN_SUPPORT,
     HORIZONS_MINUTES,
     StatusPattern,
     build_class_timeline,
@@ -56,14 +64,14 @@ class TrainingPlan:
     start: int
     end: int
     turbines: list[str] = field(default_factory=list)  # empty = all in manifest
-    variance_threshold: float = 0.99
-    correlation_threshold: float = 0.95
-    min_support: float = 0.01
-    max_patterns: int = 8
-    n_trees: int = 40
-    max_depth: int = 25
+    variance_threshold: float = DEFAULT_VARIANCE_THRESHOLD
+    correlation_threshold: float = DEFAULT_CORRELATION_THRESHOLD
+    min_support: float = DEFAULT_MIN_SUPPORT
+    max_patterns: int = DEFAULT_MAX_PATTERNS
+    n_trees: int = DEFAULT_N_TREES
+    max_depth: int = DEFAULT_MAX_DEPTH
     features_per_split: int | None = None
-    train_fraction: float = 2.0 / 3.0
+    train_fraction: float = DEFAULT_TRAIN_FRACTION
     seed: int = 0
     created_at: int | None = None  # defaults to the range end: a data property, not wall clock
     keep_datasets: bool = False
@@ -79,7 +87,7 @@ class TrainingPlan:
             self.created_at = self.end
 
 
-# how each plan key is read; the defaults live only in TrainingPlan
+# how each plan key is read; TrainingPlan takes its defaults from the library modules
 _PLAN_CASTS = {
     "store_path": Path, "output_dir": Path, "turbines": parse_name_list, "keep_datasets": parse_bool,
     **dict.fromkeys(("start", "end", "created_at"), parse_rfc3339),
@@ -151,6 +159,13 @@ class TrainingRunReport:
         return {"pooled": pooled, "macro": macro}
 
 
+def _skip_reason(exc: Exception) -> str:
+    """Data errors are expected and named by type; anything else is a bug."""
+    if isinstance(exc, DataError):
+        return f"{type(exc).__name__}: {exc}"
+    return f"unexpected failure: {exc!r}"
+
+
 def _train_turbine(plan: TrainingPlan, store: TurbineStore, turbine: str):
     outcomes: list[HorizonOutcome] = []
     selection = None
@@ -175,15 +190,10 @@ def _train_turbine(plan: TrainingPlan, store: TurbineStore, turbine: str):
         critical = set(store.manifest.critical_alarms)
         patterns = mine_patterns(transactions, critical, plan.min_support, plan.max_patterns)
         timeline = build_class_timeline(transactions, patterns, critical)
-    except DataError as exc:
-        skip_all(f"{type(exc).__name__}: {exc}")
-        return outcomes, selection, patterns
-    except Exception as exc:  # isolate unexpected failures to this turbine
-        skip_all(f"unexpected failure: {exc!r}")
+    except Exception as exc:  # isolate failures to this turbine
+        skip_all(_skip_reason(exc))
         return outcomes, selection, patterns
 
-    models_dir = plan.output_dir / "models" / turbine
-    models_dir.mkdir(parents=True, exist_ok=True)
     for h in HORIZONS_MINUTES:
         begin = time.perf_counter()
         try:
@@ -195,33 +205,25 @@ def _train_turbine(plan: TrainingPlan, store: TurbineStore, turbine: str):
                 n_trees=plan.n_trees, max_depth=plan.max_depth,
                 features_per_split=plan.features_per_split,
                 seed=derive_seed(plan.seed, turbine, h, "forest"))
-            if split.test.n_rows > 0:
-                pred = predict_batch(forest, split.test.features)
-                report = evaluate(confusion(pred.tolist(), split.test.labels.tolist(), d.class_ids))
-            else:
-                report = None
+            report = score(forest, split.test) if split.test.n_rows > 0 else None
             bundle = ModelBundle(
                 turbine_id=turbine, horizon_minutes=h, forest=forest,
                 feature_names=selection.final_names, patterns=patterns,
                 created_at=plan.created_at)
-            bundle_path = models_dir / f"horizon_{h}.model"
-            save_model(bundle, bundle_path)
+            path = bundle_path(plan.output_dir / "models", turbine, h)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            save_model(bundle, path)
             if plan.keep_datasets:
-                from .dataset import save_dataset
                 datasets_dir = plan.output_dir / "datasets" / turbine
                 datasets_dir.mkdir(parents=True, exist_ok=True)
                 save_dataset(d, datasets_dir / f"horizon_{h}.csv")
             outcomes.append(HorizonOutcome(
-                turbine, h, "completed", bundle_path=bundle_path,
+                turbine, h, "completed", bundle_path=path,
                 evaluation=report, test_rows=split.test.n_rows,
-                duration_seconds=time.perf_counter() - begin))
-        except DataError as exc:
-            outcomes.append(HorizonOutcome(
-                turbine, h, "skipped", skip_reason=f"{type(exc).__name__}: {exc}",
                 duration_seconds=time.perf_counter() - begin))
         except Exception as exc:
             outcomes.append(HorizonOutcome(
-                turbine, h, "skipped", skip_reason=f"unexpected failure: {exc!r}",
+                turbine, h, "skipped", skip_reason=_skip_reason(exc),
                 duration_seconds=time.perf_counter() - begin))
     return outcomes, selection, patterns
 

@@ -39,6 +39,12 @@ class TestTopics:
         with pytest.raises(UnknownTopic):
             broker.create_topic("../escape")
 
+    @pytest.mark.parametrize("name", [".", "..", "...", "T1\n"])
+    def test_topic_name_that_is_no_plain_path_component_rejected(self, broker, name):
+        with pytest.raises(UnknownTopic):
+            broker.create_topic(name)
+        assert broker.topics() == []
+
     def test_topic_survives_restart(self, tmp_path):
         a = Broker(tmp_path / "b")
         a.create_topic("T1")

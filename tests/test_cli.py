@@ -117,6 +117,27 @@ class TestPipelineCommands:
         assert "appended 1 records" in capsys.readouterr().out
 
 
+class TestStagesAgreeWithTrain:
+    def test_default_reports_are_the_same_text(self, synth_store, tmp_path, capsys):
+        # each stage default lives once, in the library; the stage commands
+        # and a plan that names no stage key must therefore agree
+        window = ["--store", str(synth_store), "--turbine", "T01",
+                  "--start", "2015-01-01T00:00:00Z", "--end", "2015-01-05T00:00:00Z"]
+        assert run_cli("select-features", *window) == 0
+        selection = capsys.readouterr().out
+        assert run_cli("mine-patterns", *window) == 0
+        patterns = capsys.readouterr().out
+        plan = tmp_path / "plan.conf"
+        plan.write_text(
+            f"store_path = {synth_store}\noutput_dir = {tmp_path / 'out'}\n"
+            "start = 2015-01-01T00:00:00Z\nend = 2015-01-05T00:00:00Z\n"
+            "n_trees = 2\nmax_depth = 2\n")
+        assert run_cli("train", "--plan", str(plan)) == 0
+        reports = tmp_path / "out" / "reports"
+        assert (reports / "selection_T01.txt").read_text() == selection
+        assert (reports / "patterns_T01.txt").read_text() == patterns
+
+
 class TestConfigPrecedence:
     def test_env_overrides_config_file(self, synth_store, tmp_path, capsys, monkeypatch):
         config = tmp_path / "conf"

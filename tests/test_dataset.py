@@ -74,12 +74,6 @@ class TestLabelRecords:
         d = label_records(records, PARAMS, FEATURES, tl, 30)
         assert d.n_rows == len(records) - d.dropped_out_of_range
 
-    def test_class_percentages_sum_to_100(self):
-        rng = np.random.default_rng(6)
-        tl = timeline(rng.integers(0, 2, size=40).tolist())
-        d = label_records(ops(40), PARAMS, FEATURES, tl, 20)
-        assert sum(d.class_percentages().values()) == pytest.approx(100.0)
-
 
 def make_dataset(counts: dict[int, int], seed=0) -> HorizonDataset:
     rng = np.random.default_rng(seed)

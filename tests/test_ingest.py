@@ -93,6 +93,10 @@ class TestParseStatus:
         with pytest.raises(MalformedRow):
             parse_status_csv(status_csv("2015-01-01T00:03:21Z,GOverSpMax,Q"), self.ALARMS, "T1")
 
+    def test_header_mismatch_names_the_expected_header(self):
+        with pytest.raises(MalformedRow, match="expected 'timestamp,alarm_code,kind'"):
+            parse_status_csv(b"timestamp,code,kind\n", self.ALARMS, "T1")
+
 
 def day_of_records(turbine, day=0):
     return [
@@ -272,3 +276,16 @@ class TestManifest:
     def test_bad_name_rejected(self):
         with pytest.raises(DataError):
             Manifest(parameters=["a b"], alarms=["x"], turbines=["T1"])
+
+    @pytest.mark.parametrize("field", ["parameters", "alarms", "turbines"])
+    @pytest.mark.parametrize("name", [".", "..", "...", "T2\n"])
+    def test_name_that_is_no_plain_path_component_rejected(self, field, name):
+        # a turbine ".." would put its logs in the store's parent directory
+        names = {"parameters": ["a"], "alarms": ["x"], "turbines": ["T1"]}
+        names[field] = names[field] + [name]
+        with pytest.raises(DataError, match="invalid"):
+            Manifest(**names)
+
+    def test_dots_inside_a_name_allowed(self):
+        m = Manifest(parameters=["a.b"], alarms=["x.", ".y"], turbines=["T.01"])
+        assert m.turbines == ["T.01"]

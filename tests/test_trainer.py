@@ -5,10 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from windpdm import durable
+from windpdm import agent, durable, model_io, trainer
 from windpdm.agent import MonitoringAgent
 from windpdm.broker import Broker
-from windpdm.errors import PlanInvalid
+from windpdm.errors import EmptyDataset, PlanInvalid
 from windpdm.ingest import TurbineStore
 from windpdm.model_io import load_model
 from windpdm.patterns import HORIZONS_MINUTES
@@ -46,6 +46,13 @@ class TestRun:
         assert [p.name for p in models] == [f"horizon_{h}.model" for h in sorted(HORIZONS_MINUTES)]
         eval_csv = (tmp_path / "out" / "reports" / "evaluation_T01.csv").read_text()
         assert len(eval_csv.splitlines()) == 7  # header + 6 models
+
+    def test_bundles_land_at_bundle_path(self, tmp_path):
+        cfg = synth_store(tmp_path, turbines=1)
+        report = run(plan_for(cfg, tmp_path / "out"))
+        assert [o.bundle_path for o in report.completed] == [
+            model_io.bundle_path(tmp_path / "out" / "models", "T01", h) for h in HORIZONS_MINUTES]
+        assert agent.bundle_path is model_io.bundle_path
 
     def test_completeness_invariant(self, tmp_path):
         cfg = synth_store(tmp_path, turbines=2)
@@ -251,6 +258,22 @@ class TestPlanParsing:
 
 
 class TestIsolation:
+    @pytest.mark.parametrize("stage", ["select_parameters", "train_forest"])
+    @pytest.mark.parametrize("exc, reason", [
+        (EmptyDataset("no rows"), "EmptyDataset: no rows"),
+        (KeyError("x"), "unexpected failure: KeyError('x')"),
+    ])
+    def test_skip_reason_names_the_failure(self, tmp_path, monkeypatch, stage, exc, reason):
+        # the turbine stage (select_parameters) and the horizon stage
+        # (train_forest) word their skip reasons alike
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(trainer, stage, fail)
+        cfg = synth_store(tmp_path, turbines=1)
+        report = run(plan_for(cfg, tmp_path / "out"))
+        assert [o.skip_reason for o in report.outcomes] == [reason] * len(HORIZONS_MINUTES)
+
     def test_broken_turbine_store_does_not_block_fleet(self, tmp_path):
         cfg = synth_store(tmp_path, turbines=2)
         # corrupt T01's operational log into unparseable garbage
