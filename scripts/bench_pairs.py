@@ -5,9 +5,10 @@ Usage: python scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --out BENCH_<n>.json
            [--workloads live-dashboard ...] [--seeds 1 2 3]
 
 For each seed and workload it runs ``perfbench/run.py --trace 0`` once in
-each checkout, for the ``run_seconds`` fixed in the change's BENCHMARK.json,
-the parent first in even pairs and the change first in odd ones, so a drift
-of the host's speed falls on both sides alike. The output
+each checkout, for the ``run_seconds`` fixed in the change's BENCHMARK.json.
+Each workload counts its own pairs, the ones already in ``--out`` included,
+and runs the parent first in its even pairs and the change first in its odd
+ones, so a drift of the host's speed falls on both sides alike. The output
 holds the last line each run printed (its JSON result) and the machine: CPU
 count, the filesystem type of the parent's work directory as listed in
 /proc/mounts, and the Python and numpy versions. It is rewritten after every
@@ -59,6 +60,13 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     except (IndexError, json.JSONDecodeError):
         result = None
     return {"exit_code": proc.returncode, "result": result}
+
+
+def sides_in_order(runs: list[dict], workload: str) -> tuple[str, str]:
+    """The order of the next pair of ``workload``: the parent first when the
+    workload has an even number of pairs in ``runs``, the change first when odd."""
+    done = len({run["pair"] for run in runs if run["workload"] == workload})
+    return ("parent", "change") if done % 2 == 0 else ("change", "parent")
 
 
 def _value(result: dict | None, name: str) -> float | None:
@@ -131,8 +139,7 @@ def main(argv=None) -> int:
     pair = 1 + max((run["pair"] for run in doc["runs"]), default=-1)
     for seed in args.seeds:
         for workload in args.workloads:
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for side in order:
+            for side in sides_in_order(doc["runs"], workload):
                 run = run_once(checkouts[side], workload, seed, seconds)
                 doc["runs"].append({"pair": pair, "side": side, "workload": workload, "seed": seed, **run})
                 args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")

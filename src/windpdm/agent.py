@@ -14,12 +14,17 @@ Exactly-once notifications on top of at-least-once delivery:
   committed; the stream keeps flowing.
 
 One consumer thread drains every turbine round-robin, one poll each per
-round, and appends the round's notifications in one write before it
-commits. A failing handler is contained to its message (dead-lettered). A
-``StorageFailure`` backs off that turbine alone while the others keep
-flowing (health reports Degraded). Any other exception, an unwritable sink
-included, stops the agent and names its cause in ``fatal_error``. Both logs
-append at the length acknowledged so far and cut a torn last line on open.
+round, appends the round's notifications in one write, and then commits
+every polled turbine in one ``Broker.commit_many`` (one fsync). The agent's
+broker handle is the group's one committing handle, so it keeps the
+committed offsets in memory, and a poll of a turbine with nothing new opens
+no file: an idle round costs two stats per turbine. A failing handler is
+contained to its message (dead-lettered). A ``StorageFailure`` backs off the
+turbine whose poll raised it, or every turbine of the round whose commit
+raised it, while the others keep flowing (health reports Degraded). Any
+other exception, an unwritable sink included, stops the agent and names its
+cause in ``fatal_error``. Both logs append at the length acknowledged so far
+and cut a torn last line on open.
 """
 
 from __future__ import annotations
@@ -343,9 +348,10 @@ class MonitoringAgent:
     def _drain_round(self) -> int:
         """Poll each turbine not in backoff once, in sorted order, append the
         round's notifications in one fsynced write (one wake-up of /stream),
-        THEN commit each turbine; the sink-derived dedupe index covers a crash
-        in between. Returns messages committed. A StorageFailure backs off
-        its turbine; anything else propagates."""
+        THEN commit the round's turbines in one write; the sink-derived dedupe
+        index covers a crash in between. Returns messages committed. A
+        StorageFailure backs off the turbine it came from, or all of the
+        round's if the commit raised it; anything else propagates."""
         polled: list[list[Message]] = []
         for turbine in sorted(self.models):
             if self._stop.is_set():
@@ -393,17 +399,16 @@ class MonitoringAgent:
         self.sink.append_lines(lines)
         self._seen.update(keys)
         self._bump("notifications", len(lines))
-        handled = 0
+        try:
+            self.broker.commit_many(self.group, {msgs[0].topic: msgs[-1].offset + 1 for msgs in polled})
+        except StorageFailure:
+            for msgs in polled:
+                self._back_off(msgs[0].topic)
+            return 0
         for msgs in polled:
-            turbine = msgs[0].topic
-            try:
-                self.broker.commit(self.group, turbine, msgs[-1].offset + 1)
-            except StorageFailure:
-                self._back_off(turbine)
-                continue
-            self._backoff.pop(turbine, None)
-            self._bump("processed", len(msgs))
-            handled += len(msgs)
+            self._backoff.pop(msgs[0].topic, None)
+        handled = sum(len(msgs) for msgs in polled)
+        self._bump("processed", handled)
         return handled
 
     def process_available(self) -> int:

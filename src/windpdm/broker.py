@@ -4,19 +4,35 @@ Guarantees (the contract the monitoring agent builds on):
 
 * publish() returns only after the frame is fsynced, so an acknowledged
   message survives a process kill;
-* polls never advance the consumer position; commit() durably records the
-  next-to-read offset per (group, topic), so every message is delivered at
-  least once, with redelivery confined to the polled-but-uncommitted window;
+* polls never advance the consumer position; commit_many() durably records
+  the next-to-read offset of each of its topics for a group, all or none, so
+  every message is delivered at least once, with redelivery confined to the
+  polled-but-uncommitted window;
 * offsets are contiguous from 0 and observed in order between commits.
 
-On-disk layout per topic: ``segments/<base-offset>.log`` files of
-length-prefixed, crc32-checksummed frames, plus ``offsets/<group>.offset``.
-A topic has one publishing handle, which keeps the offsets and the end of
-its last acknowledged frame in memory. publish() writes at that end and cuts
-what lies past it, so the bytes of a failed publish or of a frame torn by a
-crash are overwritten by the next acknowledged frame. No other call writes a
-segment: every handle reads an incomplete or invalid tail frame as not yet
-published and skips it until then.
+On-disk layout: ``<topic>/segments/<base-offset>.log`` files of
+length-prefixed, crc32-checksummed frames, and one offsets log per consumer
+group, ``@groups/<group>.log`` (``NAME_RE`` rejects ``@``, so no topic can
+take that name). A topic has one publishing handle, which keeps the offsets
+and the end of its last acknowledged frame in memory. publish() writes at
+that end and cuts what lies past it, so the bytes of a failed publish or of a
+frame torn by a crash are overwritten by the next acknowledged frame. No
+other call writes a segment: every handle reads an incomplete or invalid tail
+frame as not yet published and skips it until then.
+
+Each line of an offsets log is one commit: a JSON object holding the group's
+whole offset map, appended with one fsync, so a crash leaves the round's old
+offsets or its new ones. A handle reads the last whole line on the group's
+first use and keeps the map in memory; once the log passes
+``OFFSETS_LOG_BYTES`` the next commit replaces it by its one record. A group
+has one committing handle: another handle's commits are not seen by a handle
+that has already read the group.
+
+An idle poll opens no file. It is answered from memory and two stats when
+the group has committed every indexed offset, the last scanned segment is
+still as long as the scan found it, and no segment has been started after
+it; otherwise the topic is rescanned. The directory's mtime is not used: its
+coarse clock can hide a roll made within one tick.
 
 Appends to one topic are serialized by a lock; different topics, and
 poll/commit across groups, are independent. The intended deployment is one
@@ -25,6 +41,8 @@ publisher process and one consumer process per topic sharing the directory.
 
 from __future__ import annotations
 
+import json
+import os
 import struct
 import threading
 import time
@@ -34,12 +52,14 @@ from itertools import islice
 from pathlib import Path
 
 from .durable import append_at, atomic_write, fsync_dir
-from .errors import OffsetAhead, StorageFailure, TopicExists, UnknownTopic
+from .errors import InvalidValue, OffsetAhead, StorageFailure, TopicExists, UnknownTopic
 from .manifest import NAME_RE
 
 _FRAME_HEADER = struct.Struct("<IIQd")  # payload len, crc32(payload), offset, publish ts
 SEGMENT_SUFFIX = ".log"
 DEFAULT_SEGMENT_BYTES = 64 * 1024 * 1024
+GROUPS_DIR = "@groups"
+OFFSETS_LOG_BYTES = 64 * 1024  # a group's offsets log is compacted past this size
 
 
 @dataclass(frozen=True)
@@ -55,16 +75,68 @@ class _TopicState:
         self.name = name
         self.dir = root / name
         self.segments_dir = self.dir / "segments"
-        self.offsets_dir = self.dir / "offsets"
         self.lock = threading.Lock()
         # per offset: (segment path, byte position of frame start); len() is the next offset
         self.index: list[tuple[Path, int]] = []
         # per segment: byte position after the last complete frame scanned or published
         self.scan_pos: dict[Path, int] = {}
+        # the last segment scanned or published to, and the one a roll would start
+        self.active: Path | None = None
+        self.upcoming = self.segment_path(0)
+
+    def segment_path(self, base_offset: int) -> Path:
+        return self.segments_dir / f"{base_offset:020d}{SEGMENT_SUFFIX}"
 
     def segment_files(self) -> list[Path]:
         files = [p for p in self.segments_dir.iterdir() if p.name.endswith(SEGMENT_SUFFIX)]
         return sorted(files, key=lambda p: int(p.stem))
+
+    def scanned(self, segment: Path) -> None:
+        """Record ``segment`` as the last one read or written (under ``lock``)."""
+        self.active = segment
+        self.upcoming = self.segment_path(len(self.index))
+
+    def caught_up(self, start: int) -> bool:
+        """Whether a poll from ``start`` would find nothing, decided without a
+        scan: ``start`` is the end of the index, the active segment is as long
+        as it was scanned, and no segment starts at the next offset (a check
+        skipped while the active segment is that one, which holds no frame)."""
+        with self.lock:
+            if start != len(self.index):
+                return False
+            active, end, upcoming = self.active, self.scan_pos.get(self.active, 0), self.upcoming
+        try:
+            if active is not None and os.stat(active).st_size != end:
+                return False
+        except OSError:
+            return False
+        return active == upcoming or not os.path.exists(upcoming)
+
+
+class _GroupLog:
+    """A consumer group's committed offsets, kept in memory from its log."""
+
+    def __init__(self, path: Path):
+        self.path = path
+        self.lock = threading.Lock()
+        self.offsets: dict[str, int] = {}
+        self.length = 0  # byte length of the log's whole lines
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
+            return
+        except OSError as exc:
+            raise StorageFailure(f"reading {path} failed: {exc}") from exc
+        self.length = data.rfind(b"\n") + 1  # a torn last line is no commit
+        if self.length:
+            last = data[data.rfind(b"\n", 0, self.length - 1) + 1:self.length]
+            try:
+                offsets = json.loads(last)
+            except ValueError as exc:
+                raise StorageFailure(f"{path}: unreadable last record: {exc}") from exc
+            if not isinstance(offsets, dict) or not all(isinstance(v, int) for v in offsets.values()):
+                raise StorageFailure(f"{path}: last record is no offset map")
+            self.offsets = offsets
 
 
 def _frames(fh, pos: int, end: int):
@@ -96,6 +168,7 @@ class Broker:
         self.root.mkdir(parents=True, exist_ok=True)
         self.max_segment_bytes = max_segment_bytes
         self._topics: dict[str, _TopicState] = {}
+        self._groups: dict[str, _GroupLog] = {}
         self._registry_lock = threading.Lock()
         for entry in sorted(self.root.iterdir()):
             if entry.is_dir() and (entry / "segments").is_dir():
@@ -126,7 +199,6 @@ class Broker:
                 raise TopicExists(f"topic {name!r} already exists")
             state = _TopicState(name, self.root)
             state.segments_dir.mkdir(parents=True)
-            state.offsets_dir.mkdir(parents=True)
             fsync_dir(state.dir)
             fsync_dir(self.root)
             self._topics[name] = state
@@ -154,6 +226,7 @@ class Broker:
             except OSError as exc:
                 raise StorageFailure(f"append to {segment} failed: {exc}") from exc
             state.index.append((segment, pos))
+            state.scanned(segment)
             return offset
 
     def _active_segment(self, state: _TopicState) -> Path:
@@ -161,7 +234,7 @@ class Broker:
         # the acknowledged end, not the file size, which counts a failed publish
         if segments and state.scan_pos.get(segments[-1], 0) < self.max_segment_bytes:
             return segments[-1]
-        segment = state.segments_dir / f"{len(state.index):020d}{SEGMENT_SUFFIX}"
+        segment = state.segment_path(len(state.index))
         segment.touch()
         fsync_dir(state.segments_dir)
         return segment
@@ -175,7 +248,8 @@ class Broker:
         anything after it."""
         with state.lock:
             try:
-                for seg in state.segment_files():
+                segments = state.segment_files()
+                for seg in segments:
                     pos = state.scan_pos.get(seg, 0)
                     if (size := seg.stat().st_size) <= pos:
                         continue
@@ -189,29 +263,35 @@ class Broker:
                             state.index.append((seg, pos))
                             pos = next_pos
                     state.scan_pos[seg] = pos
+                if segments:
+                    state.scanned(segments[-1])
             except OSError as exc:
                 raise StorageFailure(f"topic {state.name}: scan failed: {exc}") from exc
 
-    def _offset_file(self, state: _TopicState, group: str) -> Path:
-        return state.offsets_dir / f"{group}.offset"
+    def _group(self, group: str) -> _GroupLog:
+        log = self._groups.get(group)
+        if log is None:
+            if not NAME_RE.match(group):  # a group names a file under the broker root
+                raise InvalidValue(f"invalid group name {group!r}")
+            with self._registry_lock:
+                log = self._groups.get(group)
+                if log is None:
+                    log = self._groups[group] = _GroupLog(self.root / GROUPS_DIR / f"{group}.log")
+        return log
 
     def committed_offset(self, group: str, topic: str) -> int:
-        state = self._state(topic)
-        path = self._offset_file(state, group)
-        try:
-            text = path.read_text(encoding="utf-8").strip()
-        except FileNotFoundError:
-            return 0
-        except OSError as exc:
-            raise StorageFailure(f"reading {path} failed: {exc}") from exc
-        return int(text) if text else 0
+        self._state(topic)
+        return self._group(group).offsets.get(topic, 0)
 
     def poll(self, group: str, topic: str, max_batch: int = 256) -> list[Message]:
         """Messages from the group's committed offset onward, in order, read with
-        one open per segment. Does not advance the committed offset."""
+        one open per segment. Does not advance the committed offset. A caught-up
+        topic opens no file (see the module docstring)."""
         state = self._state(topic)
+        start = self._group(group).offsets.get(topic, 0)
+        if state.caught_up(start):
+            return []
         self._refresh_index(state)
-        start = self.committed_offset(group, topic)
         with state.lock:
             wanted = state.index[start:start + max_batch]
             ends = {seg: state.scan_pos[seg] for seg, _ in wanted}
@@ -233,17 +313,36 @@ class Broker:
 
     def commit(self, group: str, topic: str, offset: int) -> None:
         """Durably record the next-to-read offset for the group."""
-        state = self._state(topic)
-        self._refresh_index(state)
-        if offset > len(state.index):
-            raise OffsetAhead(f"commit {offset} is ahead of next offset {len(state.index)}")
-        if offset < 0:
-            raise OffsetAhead(f"negative offset {offset}")
-        path = self._offset_file(state, group)
-        try:
-            atomic_write(path, str(offset).encode())
-        except OSError as exc:
-            raise StorageFailure(f"commit to {path} failed: {exc}") from exc
+        self.commit_many(group, {topic: offset})
+
+    def commit_many(self, group: str, offsets: dict[str, int]) -> None:
+        """Durably record the next-to-read offset of every topic in
+        ``offsets`` for the group, all or none: one line holding the group's
+        whole offset map, appended to its log with one fsync."""
+        log = self._group(group)
+        for topic, offset in offsets.items():
+            state = self._state(topic)
+            if offset < 0:
+                raise OffsetAhead(f"negative offset {offset}")
+            if offset > len(state.index):
+                self._refresh_index(state)
+                if offset > len(state.index):
+                    raise OffsetAhead(f"commit {offset} is ahead of next offset {len(state.index)}")
+        with log.lock:
+            merged = {**log.offsets, **offsets}
+            record = (json.dumps(merged, sort_keys=True, separators=(",", ":")) + "\n").encode()
+            try:
+                if log.length and log.length + len(record) <= OFFSETS_LOG_BYTES:
+                    length = append_at(log.path, log.length, record)
+                else:  # the group's first commit, or compaction
+                    if not log.path.parent.is_dir():
+                        log.path.parent.mkdir(exist_ok=True)
+                        fsync_dir(self.root)
+                    atomic_write(log.path, record)
+                    length = len(record)
+            except OSError as exc:
+                raise StorageFailure(f"commit to {log.path} failed: {exc}") from exc
+            log.offsets, log.length = merged, length
 
     def message_count(self, topic: str) -> int:
         state = self._state(topic)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .durable import atomic_write
-from .errors import EmptyDataset
+from .errors import EmptyDataset, InvalidValue
 from .ingest import OperationalRecord
 from .patterns import ClassTimeline, HORIZONS_MINUTES
 
@@ -66,7 +66,7 @@ def label_records(
     counted. horizon 0 is allowed as a debug mode (reproduces the timeline).
     """
     if horizon_minutes != 0 and horizon_minutes not in VALID_HORIZONS:
-        raise ValueError(f"horizon must be one of {sorted(VALID_HORIZONS)} (or 0 for debug)")
+        raise InvalidValue(f"horizon must be one of {sorted(VALID_HORIZONS)} (or 0 for debug)")
     index = [parameter_names.index(name) for name in feature_names]
     delta = horizon_minutes * 60
     rows = []
@@ -103,7 +103,7 @@ def stratified_split(d: HorizonDataset, train_fraction: float = DEFAULT_TRAIN_FR
     train side and the class id is flagged in the result.
     """
     if not (0.0 < train_fraction < 1.0):
-        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
+        raise InvalidValue(f"train_fraction must be in (0, 1), got {train_fraction}")
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     train_idx: list[int] = []
     test_idx: list[int] = []

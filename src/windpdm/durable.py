@@ -1,8 +1,9 @@
-"""Every file write of windpdm. Logs (store, broker segments, sinks) are
-written by ``append_at`` at the length their owner acknowledged and cut back
-to their last whole entry on open, so a failed or torn append is never read
-back. Whole files (bundles, offsets, manifest, datasets, reports) are
-replaced by ``atomic_write``: a crash leaves the old file or the new one.
+"""Every file write of windpdm. Logs (store, broker segments and offsets
+logs, sinks) are written by ``append_at`` at the length their owner
+acknowledged and cut back to their last whole entry on open, or skipped
+there by readers, so a failed or torn append is never read back. Whole files
+(bundles, compacted offsets logs, manifest, datasets, reports) are replaced
+by ``atomic_write``: a crash leaves the old file or the new one.
 """
 
 from __future__ import annotations

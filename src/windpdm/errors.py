@@ -17,6 +17,11 @@ class RuntimeFailure(WindPdmError):
     """Operational failure of an otherwise valid request (CLI exit code 3)."""
 
 
+class InvalidValue(DataError, ValueError):
+    """A value given by the user (an option, a plan field, a name) that the
+    callee cannot take; a ValueError as well, for callers that catch that."""
+
+
 # --- ingest ---------------------------------------------------------------
 
 class MalformedRow(DataError):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import NoPatternsFound
+from .errors import InvalidValue, NoPatternsFound
 from .ingest import EventKind, StatusEvent
 from .timeutil import SLOT_SECONDS, slot_floor
 
@@ -82,7 +82,7 @@ def build_transactions(events: list[StatusEvent], turbine_id: str, start: int, e
     """One transaction per slot in [start, end); an alarm is in the slot's set
     iff its active interval intersects the slot."""
     if start % SLOT_SECONDS or end % SLOT_SECONDS:
-        raise ValueError("range bounds must be 10-minute aligned")
+        raise InvalidValue("range bounds must be 10-minute aligned")
     n_slots = (end - start) // SLOT_SECONDS
     sets: list[set[str]] = [set() for _ in range(n_slots)]
     for code, spans in _active_intervals(events, start, end).items():
@@ -115,9 +115,9 @@ def mine_patterns(
     sorted alarm names for determinism).
     """
     if not (0.0 < min_support <= 1.0):
-        raise ValueError(f"min_support must be in (0, 1], got {min_support}")
+        raise InvalidValue(f"min_support must be in (0, 1], got {min_support}")
     if not critical_alarms:
-        raise ValueError("critical_alarms must be non-empty")
+        raise InvalidValue("critical_alarms must be non-empty")
     total = len(transactions)
     if total == 0:
         raise NoPatternsFound("no transactions in range")

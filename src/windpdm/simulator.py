@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .broker import Broker
+from .errors import InvalidValue
 from .ingest import TurbineStore
 
 
@@ -27,7 +28,7 @@ class SimulatorConfig:
 
     def __post_init__(self):
         if self.speedup_ms_per_step is not None and self.speedup_ms_per_step <= 0:
-            raise ValueError("speedup must be positive milliseconds per step")
+            raise InvalidValue("speedup must be positive milliseconds per step")
 
 
 def replay(config: SimulatorConfig, broker: Broker | None = None) -> int:

@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .durable import atomic_write
+from .errors import InvalidValue
 from .ingest import EventKind, OperationalRecord, StatusEvent, TurbineStore
 from .manifest import Manifest
 from .timeutil import SLOT_SECONDS, parse_rfc3339
@@ -74,9 +75,9 @@ class SynthConfig:
     def __post_init__(self):
         self.out_dir = Path(self.out_dir)
         if self.n_parameters < 8:
-            raise ValueError("need at least 8 parameters for the planted signatures")
+            raise InvalidValue("need at least 8 parameters for the planted signatures")
         if self.n_alarms < N_CRITICAL:
-            raise ValueError(f"need n_alarms >= {N_CRITICAL}")
+            raise InvalidValue(f"need n_alarms >= {N_CRITICAL}")
 
     @property
     def start(self) -> int:
@@ -165,7 +166,7 @@ def _plan_episodes(cfg: SynthConfig, rng: np.random.Generator) -> list[tuple[int
         for p in patterns
     ]
     if sum(wanted) > n_blocks:
-        raise ValueError(
+        raise InvalidValue(
             f"target occupancies need {sum(wanted)} blocks but only {n_blocks} fit; "
             "increase days or lower occupancy")
     order = rng.permutation(n_blocks)
@@ -194,9 +195,9 @@ def generate(cfg: SynthConfig) -> tuple[TurbineStore, GroundTruth]:
     patterns = cfg.planted_patterns()
     for p in patterns:
         if not p.alarms <= set(alarms[:N_CRITICAL]):
-            raise ValueError(f"planted pattern {sorted(p.alarms)} uses non-critical alarms")
+            raise InvalidValue(f"planted pattern {sorted(p.alarms)} uses non-critical alarms")
     if 3 * len(patterns) > cfg.n_parameters - 2:
-        raise ValueError("not enough parameters for disjoint signatures plus fillers")
+        raise InvalidValue("not enough parameters for disjoint signatures plus fillers")
 
     manifest = Manifest(
         parameters=params,

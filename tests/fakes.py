@@ -8,7 +8,7 @@ crash points of the agent's drain cycle map onto them:
 * ``"before_sink_append"``: before the notifications are appended;
 * ``"after_sink_append"``: after the durable append, before the in-memory
   dedupe index learns the batch;
-* ``"after_commit"``: after the offset commit.
+* ``"after_commit"``: after the round's one offset commit.
 
 Artifact writes are crashed through the ``os`` module that
 ``windpdm.durable`` sees (``CrashingOs``).
@@ -34,11 +34,12 @@ class FaultyBroker:
     """Broker wrapper that injects faults around the real broker's calls.
 
     * ``pause_for(ms, topics=None)``: poll and commit raise StorageFailure
-      until the window passes, on the given topics or, by default, on all.
+      until the window passes, on the given topics or, by default, on all; a
+      ``commit_many`` raises if any of its topics is paused.
       Publishes keep landing, as the turbines keep sending.
     * ``failpoint(stage)``: called with ``"poll"`` before each poll and with
-      ``"after_commit"`` after each commit; raise SimulatedCrash from it to
-      kill the consumer at that point.
+      ``"after_commit"`` after each commit or ``commit_many``; raise
+      SimulatedCrash from it to kill the consumer at that point.
     * ``after_publish(k, hook)``: ``hook()`` runs once, right after the k-th
       publish through this wrapper.
     """
@@ -81,8 +82,12 @@ class FaultyBroker:
         return self.inner.poll(group, topic, max_batch)
 
     def commit(self, group, topic, offset):
-        self._check(topic)
-        self.inner.commit(group, topic, offset)
+        self.commit_many(group, {topic: offset})
+
+    def commit_many(self, group, offsets):
+        for topic in offsets:
+            self._check(topic)
+        self.inner.commit_many(group, offsets)
         self._fire("after_commit")
 
     def __getattr__(self, name):

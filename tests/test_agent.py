@@ -22,7 +22,7 @@ from windpdm.agent import (
 from windpdm.broker import Broker, Message
 from windpdm.durable import iter_lines
 from windpdm.endpoint import AgentEndpoint
-from windpdm.errors import FatalStorageFailure, MissingModel
+from windpdm.errors import FatalStorageFailure, MissingModel, StorageFailure
 from windpdm.forest import predict, train_forest
 from windpdm.manifest import Manifest
 from windpdm.model_io import ModelBundle, save_model
@@ -211,13 +211,44 @@ class TestCrashRecovery:
         install_failpoint(agent, record)
         agent.max_batch = 2
         assert agent.process_available() == 4
-        # one fsynced write for the whole round, and no offset committed before it
+        # one fsynced write for the whole round, then one commit of both turbines
         assert [e for e in events if e != "poll"] == [
-            "before_sink_append", "after_sink_append", "after_commit", "after_commit"]
+            "before_sink_append", "after_sink_append", "after_commit"]
         lines = (tmp / "sink" / SINK_FILENAME).read_text().splitlines()
         assert [json.loads(l)["turbine"] for l in lines] == ["T1", "T1", "T2", "T2"]
         assert broker.committed_offset(agent.group, "T1") == 2
         assert broker.committed_offset(agent.group, "T2") == 2
+
+    def test_drain_through_install_failpoint_fires_all_four_stages(self, rig):
+        agent, broker, _, _ = rig
+        broker.publish("T1", row_payload(T0))
+        events = []
+        install_failpoint(agent, events.append)
+        assert agent.process_available() == 1
+        assert list(dict.fromkeys(events)) == [
+            "poll", "before_sink_append", "after_sink_append", "after_commit"]
+
+    def test_failed_commit_backs_off_every_turbine_of_the_round(self, rig, monkeypatch):
+        agent, broker, _, tmp = rig
+        for turbine in ("T1", "T2"):
+            broker.publish(turbine, row_payload(T0))
+        real_commit_many = broker.commit_many
+
+        def fail_once(group, offsets):
+            monkeypatch.setattr(broker, "commit_many", real_commit_many)
+            raise StorageFailure("offsets log unwritable")
+
+        monkeypatch.setattr(broker, "commit_many", fail_once)
+        assert agent.process_available() == 0
+        assert agent.status == "Degraded"
+        assert sorted(agent._backoff) == ["T1", "T2"]
+        time.sleep(agent.backoff_initial)
+        # redelivered, and found in the sink the failed round already wrote
+        assert agent.process_available() == 2
+        assert agent.status == READY
+        assert agent.counters["duplicates_skipped"] == 2
+        assert len((tmp / "sink" / SINK_FILENAME).read_text().splitlines()) == 2
+        assert broker.committed_offset(agent.group, "T1") == 1
 
     def test_restart_resumes_from_committed_offset(self, rig, manifest):
         agent, broker, _, tmp = rig

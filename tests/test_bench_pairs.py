@@ -60,3 +60,26 @@ def test_a_side_without_runs_is_named():
         "w cpu_ms_per_op: no runs on the change",
         "w rate: no runs on the change",
     ]
+
+
+def test_each_workload_alternates_which_side_runs_first(tmp_path, monkeypatch):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text('{"run_seconds": 1, "end_to_end": []}')
+    ran = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        ran.append((workload, seed, checkout.name))
+        return {"exit_code": 0, "result": None}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    out = tmp_path / "bench.json"
+    argv = [str(parent), str(change), "--out", str(out), "--workloads"]
+    bench_pairs.main(argv + ["backlog-drain", "live-dashboard", "--seeds", "1", "2"])
+    bench_pairs.main(argv + ["live-dashboard", "--seeds", "3"])  # extends the file
+    firsts = {}
+    for workload, seed, side in ran[::2]:
+        firsts.setdefault(workload, []).append(side)
+    assert firsts == {"backlog-drain": ["parent", "change"],
+                      "live-dashboard": ["parent", "change", "parent"]}

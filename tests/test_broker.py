@@ -1,12 +1,18 @@
+import io
+import json
 import os
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from windpdm import broker as broker_mod
-from windpdm.broker import _FRAME_HEADER, Broker
-from windpdm.errors import OffsetAhead, StorageFailure, TopicExists, UnknownTopic
+from windpdm import durable
+from windpdm.broker import _FRAME_HEADER, GROUPS_DIR, Broker
+from windpdm.errors import InvalidValue, OffsetAhead, StorageFailure, TopicExists, UnknownTopic
+
+from fakes import CrashingOs, SimulatedCrash
 
 
 @pytest.fixture
@@ -142,6 +148,131 @@ class TestPollCommit:
         del a
         b = Broker(tmp_path / "b")
         assert [m.offset for m in b.poll("g", "T1", 10)] == [3, 4]
+
+
+    def test_fresh_handle_reads_what_another_committed(self, tmp_path):
+        a = Broker(tmp_path / "b")
+        for topic in ("T1", "T2"):
+            a.create_topic(topic)
+            for i in range(4):
+                a.publish(topic, f"{topic}-{i}".encode())
+        a.commit("g", "T1", 1)
+        a.commit_many("g", {"T1": 3, "T2": 2})
+        b = Broker(tmp_path / "b")
+        assert (b.committed_offset("g", "T1"), b.committed_offset("g", "T2")) == (3, 2)
+        assert [m.offset for m in b.poll("g", "T2", 10)] == [2, 3]
+        assert b.committed_offset("other", "T1") == 0
+
+    def test_commit_many_checks_every_offset_before_writing(self, broker):
+        broker.create_topic("T1")
+        broker.create_topic("T2")
+        broker.publish("T1", b"a")
+        with pytest.raises(OffsetAhead):
+            broker.commit_many("g", {"T1": 1, "T2": 1})
+        with pytest.raises(UnknownTopic):
+            broker.commit_many("g", {"T1": 1, "nope": 0})
+        assert broker.committed_offset("g", "T1") == 0
+        assert not (broker.root / GROUPS_DIR).exists()
+
+    def test_commit_sees_frames_another_handle_published(self, tmp_path):
+        reader = Broker(tmp_path / "b")
+        reader.create_topic("T1")
+        writer = Broker(tmp_path / "b")
+        writer.publish("T1", b"a")
+        reader.commit("g", "T1", 1)
+        assert reader.committed_offset("g", "T1") == 1
+
+    @pytest.mark.parametrize("group", ["../../escaped", "..", "a/b", "", "g\n"])
+    def test_group_name_that_is_no_plain_file_name_rejected(self, broker, group):
+        broker.create_topic("T1")
+        with pytest.raises(InvalidValue):
+            broker.commit(group, "T1", 0)
+        with pytest.raises(InvalidValue):
+            broker.committed_offset(group, "T1")
+        with pytest.raises(InvalidValue):
+            broker.poll(group, "T1")
+        assert not (broker.root.parent / "escaped.log").exists()
+        assert not (broker.root / GROUPS_DIR).exists()
+
+
+def _committed(root, topics=("T1", "T2")):
+    reopened = Broker(root)
+    return {t: reopened.committed_offset("g", t) for t in topics}
+
+
+class TestOffsetsLog:
+    @pytest.fixture
+    def two_topics(self, tmp_path):
+        broker = Broker(tmp_path / "b")
+        for topic in ("T1", "T2"):
+            broker.create_topic(topic)
+            for i in range(5):
+                broker.publish(topic, f"m{i}".encode())
+        return broker
+
+    OLD = {"T1": 1, "T2": 2}
+    NEW = {"T1": 4, "T2": 3}
+
+    def test_one_line_per_commit_and_one_fsync(self, two_topics, monkeypatch):
+        two_topics.commit_many("g", self.OLD)
+        fsyncs = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: (fsyncs.append(fd), real_fsync(fd)))
+        two_topics.commit_many("g", self.NEW)
+        assert len(fsyncs) == 1
+        log = two_topics.root / GROUPS_DIR / "g.log"
+        assert [json.loads(line) for line in log.read_text().splitlines()] == [self.OLD, self.NEW]
+
+    def test_torn_commit_reads_as_the_old_offsets_or_the_new(self, two_topics):
+        two_topics.commit_many("g", self.OLD)
+        log = two_topics.root / GROUPS_DIR / "g.log"
+        old_len = log.stat().st_size
+        two_topics.commit_many("g", self.NEW)
+        whole = log.read_bytes()
+        for cut in range(old_len, len(whole) + 1):
+            log.write_bytes(whole[:cut])  # what a crash inside the append may leave
+            assert _committed(two_topics.root) == (self.NEW if cut == len(whole) else self.OLD), cut
+        # the next commit overwrites a torn record
+        log.write_bytes(whole[:old_len + 3])
+        reopened = Broker(two_topics.root)
+        reopened.commit("g", "T2", 5)
+        assert _committed(two_topics.root) == {"T1": 1, "T2": 5}
+        assert len(log.read_text().splitlines()) == 2
+
+    def test_crash_at_the_commit_fsync(self, two_topics, monkeypatch):
+        two_topics.commit_many("g", self.OLD)
+        monkeypatch.setattr(durable, "os", CrashingOs("after_tmp_write", 1))  # the first fsync
+        with pytest.raises(SimulatedCrash):
+            two_topics.commit_many("g", self.NEW)
+        monkeypatch.undo()
+        assert _committed(two_topics.root) in (self.OLD, self.NEW)
+
+    @pytest.mark.parametrize("stage", CrashingOs.STAGES)
+    def test_crash_inside_compaction(self, two_topics, monkeypatch, stage):
+        two_topics.commit_many("g", self.OLD)
+        log = two_topics.root / GROUPS_DIR / "g.log"
+        monkeypatch.setattr(broker_mod, "OFFSETS_LOG_BYTES", log.stat().st_size + 1)
+        monkeypatch.setattr(durable, "os", CrashingOs(stage, 1))
+        with pytest.raises(SimulatedCrash):
+            two_topics.commit_many("g", self.NEW)
+        monkeypatch.undo()
+        assert _committed(two_topics.root) in (self.OLD, self.NEW)
+
+    def test_compaction_keeps_the_log_small(self, two_topics, monkeypatch):
+        monkeypatch.setattr(broker_mod, "OFFSETS_LOG_BYTES", 100)
+        for i in range(20):
+            two_topics.commit_many("g", {"T1": i % 6, "T2": (i + 1) % 6})
+            log = two_topics.root / GROUPS_DIR / "g.log"
+            assert log.stat().st_size <= 100
+            assert _committed(two_topics.root) == {"T1": i % 6, "T2": (i + 1) % 6}
+
+    def test_unreadable_last_record_raises(self, two_topics):
+        two_topics.commit_many("g", self.OLD)
+        log = two_topics.root / GROUPS_DIR / "g.log"
+        with open(log, "ab") as fh:
+            fh.write(b"[1, 2]\n")
+        with pytest.raises(StorageFailure, match="no offset map"):
+            Broker(two_topics.root).committed_offset("g", "T1")
 
 
 class TestDurabilityEdgeCases:
@@ -293,6 +424,84 @@ class TestPollReads:
         msgs = Broker(tmp_path / "b", max_segment_bytes=64).poll("g", "T1", 9)
         assert [m.offset for m in msgs] == list(range(1, 10))
         assert [m.payload.decode() for m in msgs] == [f"payload-{i:02d}" for i in range(1, 10)]
+
+
+class TestIdlePoll:
+    def _count_slow_calls(self, broker, monkeypatch) -> list[str]:
+        """Record every file open, directory listing and index refresh."""
+        calls = []
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(broker_mod, "open", counting("open", open), raising=False)
+        monkeypatch.setattr(io, "open", counting("open", io.open))
+        monkeypatch.setattr(os, "listdir", counting("listdir", os.listdir))
+        monkeypatch.setattr(os, "scandir", counting("scandir", os.scandir))
+        monkeypatch.setattr(Path, "iterdir", counting("iterdir", Path.iterdir))
+        monkeypatch.setattr(broker, "_refresh_index", counting("refresh", broker._refresh_index))
+        return calls
+
+    def test_idle_poll_opens_no_file_and_lists_no_directory(self, broker, monkeypatch):
+        for topic in ("T1", "T2", "T3"):
+            broker.create_topic(topic)
+        broker.publish("T1", b"a")
+        broker.publish("T2", b"b")
+        broker.commit_many("g", {"T1": 1, "T2": 1})
+        calls = self._count_slow_calls(broker, monkeypatch)
+        for _ in range(3):
+            for topic in ("T1", "T2", "T3"):
+                assert broker.poll("g", topic) == []
+        assert calls == []
+        broker.publish("T3", b"c")
+        assert [m.payload for m in broker.poll("g", "T3")] == [b"c"]
+
+    def test_torn_tail_stays_on_the_slow_path_until_the_next_frame(self, tmp_path, monkeypatch):
+        writer = Broker(tmp_path / "b")
+        writer.create_topic("T1")
+        writer.publish("T1", b"one")
+        reader = Broker(tmp_path / "b")
+        assert [m.payload for m in reader.poll("g", "T1")] == [b"one"]
+        reader.commit("g", "T1", 1)
+        seg = next((tmp_path / "b" / "T1" / "segments").iterdir())
+        with open(seg, "ab") as fh:
+            fh.write(b"\x99\x00\x00\x00partial-frame")
+        calls = self._count_slow_calls(reader, monkeypatch)
+        assert reader.poll("g", "T1") == []
+        assert reader.poll("g", "T1") == []
+        assert calls.count("refresh") == 2
+        writer.publish("T1", b"two")
+        assert [m.payload for m in reader.poll("g", "T1")] == [b"two"]
+        reader.commit("g", "T1", 2)
+        calls.clear()
+        assert reader.poll("g", "T1") == []
+        assert calls == []
+
+    def test_roll_by_another_handle_reaches_a_default_size_reader(self, tmp_path, monkeypatch):
+        writer = Broker(tmp_path / "b", max_segment_bytes=64)
+        writer.create_topic("T1")
+        reader = Broker(tmp_path / "b")
+        segments = tmp_path / "b" / "T1" / "segments"
+        got = []
+        for i in range(9):
+            if i == 6:  # a publisher that died between starting a segment and writing it
+                (segments / f"{i:020d}.log").touch()
+                assert reader.poll("g", "T1") == []
+                calls = self._count_slow_calls(reader, monkeypatch)
+                assert reader.poll("g", "T1") == []  # an empty active segment is idle
+                assert calls == []
+                monkeypatch.undo()
+            writer.publish("T1", f"payload-{i}".encode())
+            batch = reader.poll("g", "T1")
+            assert [m.offset for m in batch] == [i]
+            got += batch
+            reader.commit("g", "T1", i + 1)
+            assert reader.poll("g", "T1") == []
+        assert len(list(segments.iterdir())) > 3
+        assert [m.payload.decode() for m in got] == [f"payload-{i}" for i in range(9)]
 
 
 class TestAtLeastOnceHarness:

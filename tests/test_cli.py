@@ -53,6 +53,29 @@ class TestExitCodes:
                        "--end", "2015-01-02T00:00:00Z") == 2
         assert "error: data:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["synth", "--alarms", "3"], "need n_alarms >= 4"),
+        (["synth", "--parameters", "5"], "need at least 8 parameters"),
+    ])
+    def test_bad_synth_value_is_2(self, tmp_path, capsys, argv, message):
+        assert run_cli(*argv, "--out", str(tmp_path / "x")) == 2
+        assert capsys.readouterr().err.startswith(f"error: data: {message}")
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--min-support", "2"], "min_support must be in (0, 1]"),
+        (["--start", "2015-01-01T00:05:00Z"], "range bounds must be 10-minute aligned"),
+    ])
+    def test_bad_mining_value_is_2(self, synth_store, capsys, extra, message):
+        mine = ["mine-patterns", "--store", str(synth_store), "--turbine", "T01",
+                "--start", "2015-01-01T00:00:00Z", "--end", "2015-01-05T00:00:00Z"]
+        assert run_cli(*mine, *extra) == 2
+        assert capsys.readouterr().err.startswith(f"error: data: {message}")
+
+    def test_bad_speedup_is_2(self, synth_store, tmp_path, capsys):
+        assert run_cli("simulate", "--store", str(synth_store), "--broker", str(tmp_path / "b"),
+                       "--speedup", "0") == 2
+        assert capsys.readouterr().err.startswith("error: data: speedup must be positive")
+
     def test_runtime_error_is_3(self, capsys):
         assert run_cli("status", "--endpoint", "http://127.0.0.1:1") == 3
         assert "error: runtime:" in capsys.readouterr().err
