@@ -242,7 +242,7 @@ class TestCrashRecovery:
         assert agent.process_available() == 0
         assert agent.status == "Degraded"
         assert sorted(agent._backoff) == ["T1", "T2"]
-        time.sleep(agent.backoff_initial)
+        time.sleep(2 * agent.backoff_initial)
         # redelivered, and found in the sink the failed round already wrote
         assert agent.process_available() == 2
         assert agent.status == READY
