@@ -16,15 +16,15 @@ Exactly-once notifications on top of at-least-once delivery:
 One consumer thread drains every turbine round-robin, one poll each per
 round, appends the round's notifications in one write, and then commits
 every polled turbine in one ``Broker.commit_many`` (one fsync). The agent's
-broker handle is the group's one committing handle, so it keeps the
-committed offsets in memory, and a poll of a turbine with nothing new opens
-no file: an idle round costs two stats per turbine. A failing handler is
-contained to its message (dead-lettered). A ``StorageFailure`` backs off the
-turbine whose poll raised it, or every turbine of the round whose commit
-raised it, while the others keep flowing (health reports Degraded). Any
-other exception, an unwritable sink included, stops the agent and names its
-cause in ``fatal_error``. Both logs append at the length acknowledged so far
-and cut a torn last line on open.
+broker handle is the one consumer of its turbines' topics for the group, so
+it keeps their committed offsets in memory, and a poll of a turbine with
+nothing new opens no file: an idle round costs two stats per turbine. A
+failing handler is contained to its message (dead-lettered). A
+``StorageFailure`` backs off the turbine whose poll raised it, or every
+turbine of the round whose commit raised it, while the others keep flowing
+(health reports Degraded). Any other exception, an unwritable sink included,
+stops the agent and names its cause in ``fatal_error``. Both logs append at
+the length acknowledged so far and cut a torn last line on open.
 """
 
 from __future__ import annotations

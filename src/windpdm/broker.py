@@ -22,11 +22,15 @@ frame as not yet published and skips it until then.
 
 Each line of an offsets log is one commit: a JSON object holding the group's
 whole offset map, appended with one fsync, so a crash leaves the round's old
-offsets or its new ones. A handle reads the last whole line on the group's
-first use and keeps the map in memory; once the log passes
-``OFFSETS_LOG_BYTES`` the next commit replaces it by its one record. A group
-has one committing handle: another handle's commits are not seen by a handle
-that has already read the group.
+offsets or its new ones. Every read and write of the log holds an ``flock``
+on ``@groups`` (shared to read, exclusive to commit), which serializes
+commits across handles and processes. A commit re-reads the last whole line
+under its lock and writes that map with only its own topics changed, so
+consumers of different topics of one group, in one process or several, do
+not undo each other's commits. Once the log passes ``OFFSETS_LOG_BYTES`` the
+next commit replaces it by its one record. A handle reads the map on the
+group's first use and keeps it in memory for its polls, updating it at each
+of its commits; a topic is consumed for a group by one handle at a time.
 
 An idle poll opens no file. It is answered from memory and two stats when
 the group has committed every indexed offset, the last scanned segment is
@@ -34,9 +38,9 @@ still as long as the scan found it, and no segment has been started after
 it; otherwise the topic is rescanned. The directory's mtime is not used: its
 coarse clock can hide a roll made within one tick.
 
-Appends to one topic are serialized by a lock; different topics, and
-poll/commit across groups, are independent. The intended deployment is one
-publisher process and one consumer process per topic sharing the directory.
+Appends to one topic are serialized by a lock and commits by the flock;
+polls are independent. The intended deployment is one publisher process and
+one consumer process per topic sharing the directory.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 
-from .durable import append_at, atomic_write, fsync_dir
+from .durable import append_at, atomic_write, flocked, fsync_dir
 from .errors import InvalidValue, OffsetAhead, StorageFailure, TopicExists, UnknownTopic
 from .manifest import NAME_RE
 
@@ -80,9 +84,10 @@ class _TopicState:
         self.index: list[tuple[Path, int]] = []
         # per segment: byte position after the last complete frame scanned or published
         self.scan_pos: dict[Path, int] = {}
-        # the last segment scanned or published to, and the one a roll would start
+        # the last segment scanned or published to
         self.active: Path | None = None
-        self.upcoming = self.segment_path(0)
+        # caught_up's memo of (n, segment_path(n)): a Path built per idle poll is slow
+        self._next_segment: tuple[int, Path] = (0, self.segment_path(0))
 
     def segment_path(self, base_offset: int) -> Path:
         return self.segments_dir / f"{base_offset:020d}{SEGMENT_SUFFIX}"
@@ -90,11 +95,6 @@ class _TopicState:
     def segment_files(self) -> list[Path]:
         files = [p for p in self.segments_dir.iterdir() if p.name.endswith(SEGMENT_SUFFIX)]
         return sorted(files, key=lambda p: int(p.stem))
-
-    def scanned(self, segment: Path) -> None:
-        """Record ``segment`` as the last one read or written (under ``lock``)."""
-        self.active = segment
-        self.upcoming = self.segment_path(len(self.index))
 
     def caught_up(self, start: int) -> bool:
         """Whether a poll from ``start`` would find nothing, decided without a
@@ -104,7 +104,10 @@ class _TopicState:
         with self.lock:
             if start != len(self.index):
                 return False
-            active, end, upcoming = self.active, self.scan_pos.get(self.active, 0), self.upcoming
+            active, end = self.active, self.scan_pos.get(self.active, 0)
+            if self._next_segment[0] != start:
+                self._next_segment = (start, self.segment_path(start))
+            upcoming = self._next_segment[1]
         try:
             if active is not None and os.stat(active).st_size != end:
                 return False
@@ -122,21 +125,32 @@ class _GroupLog:
         self.offsets: dict[str, int] = {}
         self.length = 0  # byte length of the log's whole lines
         try:
-            data = path.read_bytes()
-        except FileNotFoundError:
-            return
+            with flocked(path.parent, exclusive=False):
+                self.reload()
+        except FileNotFoundError:  # no group has committed yet
+            pass
         except OSError as exc:
-            raise StorageFailure(f"reading {path} failed: {exc}") from exc
-        self.length = data.rfind(b"\n") + 1  # a torn last line is no commit
-        if self.length:
-            last = data[data.rfind(b"\n", 0, self.length - 1) + 1:self.length]
+            raise StorageFailure(f"locking {path.parent} failed: {exc}") from exc
+
+    def reload(self) -> None:
+        """Read the map and length from the log's last whole line (under an
+        ``flock`` of its directory); a missing log is an empty map."""
+        try:
+            data = self.path.read_bytes()
+        except FileNotFoundError:
+            data = b""
+        except OSError as exc:
+            raise StorageFailure(f"reading {self.path} failed: {exc}") from exc
+        length = data.rfind(b"\n") + 1  # a torn last line is no commit
+        offsets = {}
+        if length:
             try:
-                offsets = json.loads(last)
+                offsets = json.loads(data[data.rfind(b"\n", 0, length - 1) + 1:length])
             except ValueError as exc:
-                raise StorageFailure(f"{path}: unreadable last record: {exc}") from exc
+                raise StorageFailure(f"{self.path}: unreadable last record: {exc}") from exc
             if not isinstance(offsets, dict) or not all(isinstance(v, int) for v in offsets.values()):
-                raise StorageFailure(f"{path}: last record is no offset map")
-            self.offsets = offsets
+                raise StorageFailure(f"{self.path}: last record is no offset map")
+        self.offsets, self.length = offsets, length
 
 
 def _frames(fh, pos: int, end: int):
@@ -226,7 +240,7 @@ class Broker:
             except OSError as exc:
                 raise StorageFailure(f"append to {segment} failed: {exc}") from exc
             state.index.append((segment, pos))
-            state.scanned(segment)
+            state.active = segment
             return offset
 
     def _active_segment(self, state: _TopicState) -> Path:
@@ -264,7 +278,7 @@ class Broker:
                             pos = next_pos
                     state.scan_pos[seg] = pos
                 if segments:
-                    state.scanned(segments[-1])
+                    state.active = segments[-1]
             except OSError as exc:
                 raise StorageFailure(f"topic {state.name}: scan failed: {exc}") from exc
 
@@ -329,17 +343,19 @@ class Broker:
                 if offset > len(state.index):
                     raise OffsetAhead(f"commit {offset} is ahead of next offset {len(state.index)}")
         with log.lock:
-            merged = {**log.offsets, **offsets}
-            record = (json.dumps(merged, sort_keys=True, separators=(",", ":")) + "\n").encode()
             try:
-                if log.length and log.length + len(record) <= OFFSETS_LOG_BYTES:
-                    length = append_at(log.path, log.length, record)
-                else:  # the group's first commit, or compaction
-                    if not log.path.parent.is_dir():
-                        log.path.parent.mkdir(exist_ok=True)
-                        fsync_dir(self.root)
-                    atomic_write(log.path, record)
-                    length = len(record)
+                if not log.length and not log.path.parent.is_dir():  # the group's first commit
+                    log.path.parent.mkdir(exist_ok=True)
+                    fsync_dir(self.root)
+                with flocked(log.path.parent, exclusive=True):
+                    log.reload()  # another handle may have committed other topics
+                    merged = {**log.offsets, **offsets}
+                    record = (json.dumps(merged, sort_keys=True, separators=(",", ":")) + "\n").encode()
+                    if log.length and log.length + len(record) <= OFFSETS_LOG_BYTES:
+                        length = append_at(log.path, log.length, record)
+                    else:  # the group's first commit, or compaction
+                        atomic_write(log.path, record)
+                        length = len(record)
             except OSError as exc:
                 raise StorageFailure(f"commit to {log.path} failed: {exc}") from exc
             log.offsets, log.length = merged, length

@@ -3,12 +3,16 @@ logs, sinks) are written by ``append_at`` at the length their owner
 acknowledged and cut back to their last whole entry on open, or skipped
 there by readers, so a failed or torn append is never read back. Whole files
 (bundles, compacted offsets logs, manifest, datasets, reports) are replaced
-by ``atomic_write``: a crash leaves the old file or the new one.
+by ``atomic_write``: a crash leaves the old file or the new one. Files that
+several processes write (offsets logs) are read and written under a
+``flocked`` lock on their directory.
 """
 
 from __future__ import annotations
 
+import fcntl
 import os
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
 
@@ -22,6 +26,18 @@ def fsync_dir(path: Path) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
+
+
+@contextmanager
+def flocked(directory: Path, exclusive: bool) -> Iterator[None]:
+    """Hold an exclusive or a shared ``flock`` on ``directory``, which
+    serializes the writers of the files in it across handles and processes."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
+        yield
+    finally:
+        os.close(fd)  # releases the lock
 
 
 def append_at(path: Path, pos: int, data: bytes) -> int:

@@ -1,6 +1,9 @@
 import io
 import json
 import os
+import subprocess
+import sys
+import threading
 import zlib
 from pathlib import Path
 
@@ -265,6 +268,57 @@ class TestOffsetsLog:
             log = two_topics.root / GROUPS_DIR / "g.log"
             assert log.stat().st_size <= 100
             assert _committed(two_topics.root) == {"T1": i % 6, "T2": (i + 1) % 6}
+
+    @pytest.mark.parametrize("log_bytes", [broker_mod.OFFSETS_LOG_BYTES, 100])
+    def test_handles_committing_different_topics_keep_each_others_offsets(
+            self, two_topics, monkeypatch, log_bytes):
+        monkeypatch.setattr(broker_mod, "OFFSETS_LOG_BYTES", log_bytes)  # 100: compact often
+        a, b = two_topics, Broker(two_topics.root)
+        a.commit_many("g", self.OLD)
+        b.committed_offset("g", "T1")  # b reads the group now, a commits after
+        for i in range(1, 6):
+            a.commit("g", "T1", i)
+            b.commit("g", "T2", 5 - i)
+            assert _committed(two_topics.root) == {"T1": i, "T2": 5 - i}, i
+            assert (a.committed_offset("g", "T1"), b.committed_offset("g", "T2")) == (i, 5 - i)
+        lines = (two_topics.root / GROUPS_DIR / "g.log").read_bytes().split(b"\n")
+        assert lines[-1] == b"" and all(json.loads(line) for line in lines[:-1])
+
+    def test_concurrent_handles_serialize_their_commits(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(broker_mod, "OFFSETS_LOG_BYTES", 200)
+        topics = [f"T{i}" for i in range(4)]
+        setup = Broker(tmp_path / "b")
+        for topic in topics:
+            setup.create_topic(topic)
+            for i in range(30):
+                setup.publish(topic, b"m")
+        errors = []
+
+        def consume(topic):
+            handle = Broker(tmp_path / "b")
+            try:
+                for offset in range(1, 31):
+                    handle.commit("g", topic, offset)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=consume, args=(t,)) for t in topics]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert _committed(tmp_path / "b", topics) == {t: 30 for t in topics}
+
+    def test_consumer_processes_of_one_group_keep_each_others_offsets(self, two_topics):
+        script = ("import sys\nfrom windpdm.broker import Broker\n"
+                  "b = Broker(sys.argv[1])\n"
+                  "for offset in range(6):\n    b.commit('g', sys.argv[2], offset)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(broker_mod.__file__).parents[1])}
+        procs = [subprocess.Popen([sys.executable, "-c", script, str(two_topics.root), topic], env=env)
+                 for topic in ("T1", "T2")]
+        assert [proc.wait(timeout=60) for proc in procs] == [0, 0]
+        assert _committed(two_topics.root) == {"T1": 5, "T2": 5}
 
     def test_unreadable_last_record_raises(self, two_topics):
         two_topics.commit_many("g", self.OLD)
