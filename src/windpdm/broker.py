@@ -13,12 +13,14 @@ Guarantees (the contract the monitoring agent builds on):
 On-disk layout: ``<topic>/segments/<base-offset>.log`` files of
 length-prefixed, crc32-checksummed frames, and one offsets log per consumer
 group, ``@groups/<group>.log`` (``NAME_RE`` rejects ``@``, so no topic can
-take that name). A topic has one publishing handle, which keeps the offsets
-and the end of its last acknowledged frame in memory. publish() writes at
-that end and cuts what lies past it, so the bytes of a failed publish or of a
-frame torn by a crash are overwritten by the next acknowledged frame. No
-other call writes a segment: every handle reads an incomplete or invalid tail
-frame as not yet published and skips it until then.
+take that name). A handle keeps each topic as its segments, each with the
+start of every frame and the end of the last; only opening a topic lists its
+directory, and a roll is found by the name at the next offset. The one
+publishing handle of a topic writes at the end of its last segment, or of a
+new one once that end reaches ``max_segment_bytes``, and cuts what lies past
+it, so a failed or torn frame is overwritten by the next acknowledged one.
+No other call writes a segment: every handle reads an incomplete or invalid
+tail frame as not yet published and skips it until then.
 
 Each line of an offsets log is one commit: a JSON object holding the group's
 whole offset map, appended with one fsync, so a crash leaves the round's old
@@ -32,11 +34,10 @@ next commit replaces it by its one record. A handle reads the map on the
 group's first use and keeps it in memory for its polls, updating it at each
 of its commits; a topic is consumed for a group by one handle at a time.
 
-An idle poll opens no file. It is answered from memory and two stats when
-the group has committed every indexed offset, the last scanned segment is
-still as long as the scan found it, and no segment has been started after
-it; otherwise the topic is rescanned. The directory's mtime is not used: its
-coarse clock can hide a roll made within one tick.
+An idle poll, from the next offset, opens no file: two stats show that the
+last segment is as long as scanned and that no segment starts at the next
+offset. The directory's mtime is not used: its coarse clock can hide a roll
+made within one tick.
 
 Appends to one topic are serialized by a lock and commits by the flock;
 polls are independent. The intended deployment is one publisher process and
@@ -51,11 +52,13 @@ import struct
 import threading
 import time
 import zlib
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 
-from .durable import append_at, atomic_write, flocked, fsync_dir
+from .durable import append_at, atomic_write, create_file, flocked, fsync_dir
 from .errors import InvalidValue, OffsetAhead, StorageFailure, TopicExists, UnknownTopic
 from .manifest import NAME_RE
 
@@ -74,46 +77,66 @@ class Message:
     payload: bytes
 
 
+class _Segment:
+    """A segment file, its base offset, the start of each frame and the end of the last."""
+
+    def __init__(self, base: int, path: Path):
+        self.base, self.path, self.starts, self.end = base, path, array("q"), 0
+
+
 class _TopicState:
     def __init__(self, name: str, root: Path):
+        """Index the topic's segments, listing its directory once."""
         self.name = name
-        self.dir = root / name
-        self.segments_dir = self.dir / "segments"
+        self.segments_dir = root / name / "segments"
         self.lock = threading.Lock()
-        # per offset: (segment path, byte position of frame start); len() is the next offset
-        self.index: list[tuple[Path, int]] = []
-        # per segment: byte position after the last complete frame scanned or published
-        self.scan_pos: dict[Path, int] = {}
-        # the last segment scanned or published to
-        self.active: Path | None = None
+        self.segments: list[_Segment] = []  # in offset order
         # caught_up's memo of (n, segment_path(n)): a Path built per idle poll is slow
         self._next_segment: tuple[int, Path] = (0, self.segment_path(0))
+        for path in sorted(self.segments_dir.glob(f"*{SEGMENT_SUFFIX}"), key=lambda p: int(p.stem)):
+            self.scan(path)
 
     def segment_path(self, base_offset: int) -> Path:
         return self.segments_dir / f"{base_offset:020d}{SEGMENT_SUFFIX}"
 
-    def segment_files(self) -> list[Path]:
-        files = [p for p in self.segments_dir.iterdir() if p.name.endswith(SEGMENT_SUFFIX)]
-        return sorted(files, key=lambda p: int(p.stem))
+    @property
+    def next_offset(self) -> int:
+        return self.segments[-1].base + len(self.segments[-1].starts) if self.segments else 0
+
+    def scan(self, path: Path | None = None) -> None:
+        """Index the frames past the end of the last segment, or of a new one at
+        ``path``; a frame that breaks offset contiguity raises StorageFailure."""
+        if path is not None:
+            self.segments.append(_Segment(self.next_offset, path))
+        seg = self.segments[-1]
+        try:
+            if (size := os.stat(seg.path).st_size) <= seg.end:
+                return
+            with open(seg.path, "rb") as fh:
+                for offset, _ts, _payload, next_pos in _frames(fh, seg.end, size):
+                    if offset != (expected := seg.base + len(seg.starts)):
+                        raise StorageFailure(f"topic {self.name}: offset {offset} at {seg.path} "
+                                             f"breaks contiguity (expected {expected})")
+                    seg.starts.append(seg.end)
+                    seg.end = next_pos
+        except OSError as exc:
+            raise StorageFailure(f"topic {self.name}: scan failed: {exc}") from exc
 
     def caught_up(self, start: int) -> bool:
-        """Whether a poll from ``start`` would find nothing, decided without a
-        scan: ``start`` is the end of the index, the active segment is as long
-        as it was scanned, and no segment starts at the next offset (a check
-        skipped while the active segment is that one, which holds no frame)."""
+        """Whether a poll from ``start`` finds nothing, by two stats (module docstring)."""
         with self.lock:
-            if start != len(self.index):
+            if start != self.next_offset:
                 return False
-            active, end = self.active, self.scan_pos.get(self.active, 0)
+            last = self.segments[-1] if self.segments else None
             if self._next_segment[0] != start:
                 self._next_segment = (start, self.segment_path(start))
             upcoming = self._next_segment[1]
         try:
-            if active is not None and os.stat(active).st_size != end:
+            if last and os.stat(last.path).st_size != last.end:
                 return False
         except OSError:
             return False
-        return active == upcoming or not os.path.exists(upcoming)
+        return bool(last and last.base == start) or not os.path.exists(upcoming)
 
 
 class _GroupLog:
@@ -186,15 +209,9 @@ class Broker:
         self._registry_lock = threading.Lock()
         for entry in sorted(self.root.iterdir()):
             if entry.is_dir() and (entry / "segments").is_dir():
-                self._load_topic(entry.name)
+                self._topics[entry.name] = _TopicState(entry.name, self.root)
 
     # -- topic registry -------------------------------------------------------
-
-    def _load_topic(self, name: str) -> _TopicState:
-        state = _TopicState(name, self.root)
-        self._refresh_index(state)
-        self._topics[name] = state
-        return state
 
     def topics(self) -> list[str]:
         return sorted(self._topics)
@@ -209,11 +226,13 @@ class Broker:
         if not NAME_RE.match(name):  # a topic is a directory, named like a turbine
             raise UnknownTopic(f"invalid topic name {name!r}")
         with self._registry_lock:
-            if name in self._topics or (self.root / name).exists():
-                raise TopicExists(f"topic {name!r} already exists")
+            try:
+                (self.root / name).mkdir()  # fails if this handle or another made the topic
+            except FileExistsError:
+                raise TopicExists(f"topic {name!r} already exists") from None
             state = _TopicState(name, self.root)
-            state.segments_dir.mkdir(parents=True)
-            fsync_dir(state.dir)
+            state.segments_dir.mkdir()
+            fsync_dir(state.segments_dir.parent)
             fsync_dir(self.root)
             self._topics[name] = state
             return name
@@ -221,7 +240,10 @@ class Broker:
     def ensure_topic(self, name: str) -> str:
         try:
             return self.create_topic(name)
-        except TopicExists:
+        except TopicExists:  # load it if another handle made it after this one opened
+            with self._registry_lock:
+                if name not in self._topics and (self.root / name / "segments").is_dir():
+                    self._topics[name] = _TopicState(name, self.root)
             return name
 
     # -- publishing -----------------------------------------------------------
@@ -231,56 +253,33 @@ class Broker:
             raise StorageFailure("empty payload rejected")
         state = self._state(topic)
         with state.lock:
-            offset = len(state.index)
-            segment = self._active_segment(state)
+            offset = state.next_offset
             frame = _FRAME_HEADER.pack(len(payload), zlib.crc32(payload), offset, time.time()) + payload
-            pos = state.scan_pos.get(segment, 0)
             try:
-                state.scan_pos[segment] = append_at(segment, pos, frame)
+                # the acknowledged end, not the file size, which counts a failed publish
+                if not state.segments or state.segments[-1].end >= self.max_segment_bytes:
+                    create_file(path := state.segment_path(offset))
+                    state.segments.append(_Segment(offset, path))
+                segment = state.segments[-1]
+                end = append_at(segment.path, segment.end, frame)
             except OSError as exc:
-                raise StorageFailure(f"append to {segment} failed: {exc}") from exc
-            state.index.append((segment, pos))
-            state.active = segment
+                raise StorageFailure(f"publish to topic {topic} failed: {exc}") from exc
+            segment.starts.append(segment.end)
+            segment.end = end
             return offset
-
-    def _active_segment(self, state: _TopicState) -> Path:
-        segments = state.segment_files()
-        # the acknowledged end, not the file size, which counts a failed publish
-        if segments and state.scan_pos.get(segments[-1], 0) < self.max_segment_bytes:
-            return segments[-1]
-        segment = state.segment_path(len(state.index))
-        segment.touch()
-        fsync_dir(state.segments_dir)
-        return segment
 
     # -- consuming --------------------------------------------------------------
 
     def _refresh_index(self, state: _TopicState) -> None:
-        """Pick up frames appended since the last scan (possibly by another
-        process), resuming from the stored byte positions. A frame that breaks
-        offset contiguity raises StorageFailure and is never indexed, nor is
-        anything after it."""
+        """Pick up frames appended since the last scan, possibly by another
+        process: scan the last segment, then each one named by the next offset."""
         with state.lock:
-            try:
-                segments = state.segment_files()
-                for seg in segments:
-                    pos = state.scan_pos.get(seg, 0)
-                    if (size := seg.stat().st_size) <= pos:
-                        continue
-                    with open(seg, "rb") as fh:
-                        for offset, _ts, _payload, next_pos in _frames(fh, pos, size):
-                            if offset != len(state.index):
-                                state.scan_pos[seg] = pos
-                                raise StorageFailure(
-                                    f"topic {state.name}: offset {offset} at {seg} breaks contiguity "
-                                    f"(expected {len(state.index)})")
-                            state.index.append((seg, pos))
-                            pos = next_pos
-                    state.scan_pos[seg] = pos
-                if segments:
-                    state.active = segments[-1]
-            except OSError as exc:
-                raise StorageFailure(f"topic {state.name}: scan failed: {exc}") from exc
+            if state.segments:
+                state.scan()
+            # an empty last segment is the one at the next offset
+            while (not state.segments or state.segments[-1].starts) and os.path.exists(
+                    path := state.segment_path(state.next_offset)):
+                state.scan(path)
 
     def _group(self, group: str) -> _GroupLog:
         log = self._groups.get(group)
@@ -306,23 +305,24 @@ class Broker:
         if state.caught_up(start):
             return []
         self._refresh_index(state)
-        with state.lock:
-            wanted = state.index[start:start + max_batch]
-            ends = {seg: state.scan_pos[seg] for seg, _ in wanted}
+        with state.lock:  # each segment to read, and the offsets to read from it
+            first = max(bisect_right(state.segments, start, key=lambda seg: seg.base) - 1, 0)
+            reads = [(seg, wanted) for seg in islice(state.segments, first, None) if (wanted := range(
+                max(start, seg.base), min(start + max_batch, seg.base + len(seg.starts))))]
         out: list[Message] = []
-        while len(out) < len(wanted):
-            seg, pos = wanted[len(out)]
+        for seg, wanted in reads:  # seg.end only grows, so it bounds the wanted frames
             try:
-                with open(seg, "rb") as fh:
-                    frames = _frames(fh, pos, ends[seg])
-                    for offset, ts, payload, _next in islice(frames, len(wanted) - len(out)):
+                with open(seg.path, "rb") as fh:
+                    frames = _frames(fh, seg.starts[wanted[0] - seg.base], seg.end)
+                    for offset, ts, payload, _next in islice(frames, len(wanted)):
                         if offset != start + len(out):
                             break
                         out.append(Message(topic, offset, ts, payload))
             except OSError as exc:
-                raise StorageFailure(f"reading {seg} failed: {exc}") from exc
-            if len(out) < len(wanted) and wanted[len(out)][0] == seg:
-                raise StorageFailure(f"frame at {seg}:{wanted[len(out)][1]} failed validation")
+                raise StorageFailure(f"reading {seg.path} failed: {exc}") from exc
+            if start + len(out) < wanted.stop:
+                pos = seg.starts[start + len(out) - seg.base]
+                raise StorageFailure(f"frame at {seg.path}:{pos} failed validation")
         return out
 
     def commit(self, group: str, topic: str, offset: int) -> None:
@@ -338,10 +338,10 @@ class Broker:
             state = self._state(topic)
             if offset < 0:
                 raise OffsetAhead(f"negative offset {offset}")
-            if offset > len(state.index):
+            if offset > state.next_offset:
                 self._refresh_index(state)
-                if offset > len(state.index):
-                    raise OffsetAhead(f"commit {offset} is ahead of next offset {len(state.index)}")
+                if offset > state.next_offset:
+                    raise OffsetAhead(f"commit {offset} is ahead of next offset {state.next_offset}")
         with log.lock:
             try:
                 if not log.length and not log.path.parent.is_dir():  # the group's first commit
@@ -363,4 +363,4 @@ class Broker:
     def message_count(self, topic: str) -> int:
         state = self._state(topic)
         self._refresh_index(state)
-        return len(state.index)
+        return state.next_offset

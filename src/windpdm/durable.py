@@ -1,11 +1,12 @@
 """Every file write of windpdm. Logs (store, broker segments and offsets
-logs, sinks) are written by ``append_at`` at the length their owner
-acknowledged and cut back to their last whole entry on open, or skipped
-there by readers, so a failed or torn append is never read back. Whole files
-(bundles, compacted offsets logs, manifest, datasets, reports) are replaced
-by ``atomic_write``: a crash leaves the old file or the new one. Files that
-several processes write (offsets logs) are read and written under a
-``flocked`` lock on their directory.
+logs, sinks) are created by ``create_file`` or ``cut_torn_line`` and written
+by ``append_at`` at the length their owner acknowledged and cut back to
+their last whole entry on open, or skipped there by readers, so a failed or
+torn append is never read back. Whole files (bundles, compacted offsets
+logs, manifest, datasets, reports) are replaced by ``atomic_write``: a crash
+leaves the old file or the new one. Files that several processes write
+(offsets logs) are read and written under a ``flocked`` lock on their
+directory.
 """
 
 from __future__ import annotations
@@ -38,6 +39,14 @@ def flocked(directory: Path, exclusive: bool) -> Iterator[None]:
         yield
     finally:
         os.close(fd)  # releases the lock
+
+
+def create_file(path: Path) -> None:
+    """Create ``path`` if it is missing, keeping any bytes it holds, and fsync
+    its directory so that the new entry survives a crash."""
+    with open(path, "ab"):
+        pass
+    fsync_dir(Path(path).parent)
 
 
 def append_at(path: Path, pos: int, data: bytes) -> int:

@@ -37,13 +37,12 @@ def replay(config: SimulatorConfig, broker: Broker | None = None) -> int:
     if broker is None:
         broker = Broker(Path(config.broker_path))
     turbines = config.turbines or list(store.manifest.turbines)
-    for turbine in turbines:
-        broker.ensure_topic(turbine)
-
     streams = []
-    for turbine in turbines:
+    for turbine in turbines:  # raises UnknownTurbine before any topic is made
         records = list(store.scan_operational(turbine, config.start, config.end))
         streams.append((turbine, records))
+    for turbine in turbines:
+        broker.ensure_topic(turbine)
     slots = sorted({rec.timestamp for _, records in streams for rec in records})
 
     published = 0

@@ -54,6 +54,32 @@ class TestTopics:
             broker.create_topic(name)
         assert broker.topics() == []
 
+    def test_ensure_topic_loads_a_topic_another_handle_created(self, tmp_path):
+        late = Broker(tmp_path / "b")
+        early = Broker(tmp_path / "b")
+        early.create_topic("T1")
+        early.publish("T1", b"a")
+        assert late.ensure_topic("T1") == "T1"
+        assert late.message_count("T1") == 1
+        assert [m.payload for m in late.poll("g", "T1")] == [b"a"]
+
+    @pytest.mark.parametrize("call", ["create_topic", "ensure_topic"])
+    def test_topic_made_by_another_handle_during_the_mkdir(self, broker, monkeypatch, call):
+        real_mkdir = Path.mkdir
+
+        def racing_mkdir(path, *args, **kwargs):
+            monkeypatch.setattr(Path, "mkdir", real_mkdir)
+            Broker(broker.root).create_topic("T1")  # the other handle wins the race
+            return real_mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", racing_mkdir)
+        if call == "create_topic":
+            with pytest.raises(TopicExists):
+                broker.create_topic("T1")
+        else:
+            assert broker.ensure_topic("T1") == "T1"
+            assert broker.publish("T1", b"a") == 0
+
     def test_topic_survives_restart(self, tmp_path):
         a = Broker(tmp_path / "b")
         a.create_topic("T1")
@@ -556,6 +582,55 @@ class TestIdlePoll:
             assert reader.poll("g", "T1") == []
         assert len(list(segments.iterdir())) > 3
         assert [m.payload.decode() for m in got] == [f"payload-{i}" for i in range(9)]
+
+    def test_publish_into_the_active_segment_lists_no_directory(self, broker, monkeypatch):
+        broker.create_topic("T1")
+        broker.publish("T1", b"a")
+        calls = self._count_slow_calls(broker, monkeypatch)
+        for i in range(3):
+            assert broker.publish("T1", b"b") == i + 1
+        assert not LISTINGS & set(calls)
+
+    def test_poll_that_finds_new_frames_lists_no_directory(self, tmp_path, monkeypatch):
+        writer = Broker(tmp_path / "b", max_segment_bytes=64)
+        writer.create_topic("T1")
+        reader = Broker(tmp_path / "b")
+        calls = self._count_slow_calls(reader, monkeypatch)
+        for i in range(6):  # 64-byte segments: most publishes roll
+            writer.publish("T1", f"payload-{i}".encode())
+            calls.clear()
+            assert [m.offset for m in reader.poll("g", "T1")] == list(range(i + 1))
+            assert "refresh" in calls and not LISTINGS & set(calls)
+
+    def test_random_polls_match_the_published_log(self, tmp_path, monkeypatch):
+        """A writer of 64-byte segments and a default-size reader, both
+        reopened halfway: every poll from a random committed offset returns
+        the log's slice, and no poll lists a directory."""
+        rng = np.random.default_rng(14)
+        root = tmp_path / "b"
+        writer = Broker(root, max_segment_bytes=64)
+        writer.create_topic("T1")
+        reader = Broker(root)
+        calls = self._count_slow_calls(reader, monkeypatch)
+        published: list[bytes] = []
+        for step in range(120):
+            if step == 60:
+                writer, reader = Broker(root, max_segment_bytes=64), Broker(root)
+                calls.clear()
+            for _ in range(int(rng.integers(0, 4))):
+                payload = rng.bytes(int(rng.integers(1, 80)))
+                assert writer.publish("T1", payload) == len(published)
+                published.append(payload)
+            start = int(rng.integers(0, len(published) + 1))
+            reader.commit("g", "T1", start)
+            max_batch = int(rng.integers(1, 20))
+            got = reader.poll("g", "T1", max_batch)
+            assert [(m.offset, m.payload) for m in got] == list(enumerate(published))[start:start + max_batch]
+        assert not LISTINGS & set(calls)
+        assert len(list((root / "T1" / "segments").iterdir())) > 60
+
+
+LISTINGS = {"listdir", "scandir", "iterdir"}
 
 
 class TestAtLeastOnceHarness:

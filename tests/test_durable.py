@@ -123,7 +123,7 @@ def test_fsync_dir_syncs_the_directory(tmp_path, monkeypatch):
 
 # -- one write path ------------------------------------------------------------
 
-WRITE_CALLS = {"write_text", "write_bytes", "truncate"}
+WRITE_CALLS = {"write_text", "write_bytes", "truncate", "touch"}
 OS_WRITE_CALLS = {"fsync", "replace", "rename", "open", "write", "ftruncate"}
 
 
@@ -177,6 +177,7 @@ def test_the_guard_catches_each_kind_of_write():
         "p.write_text('x')",
         "p.write_bytes(b'x')",
         "fh.truncate(0)",
+        "p.touch()",
         "open(p, 'ab')",
         "open(p, mode='w')",
         "open(p, 'r+b')",
@@ -187,7 +188,7 @@ def test_the_guard_catches_each_kind_of_write():
         "TurbineStore.open(root)",
         "p.open()",
     ])
-    assert len(durable_write_violations(source)) == 11
+    assert len(durable_write_violations(source)) == 12
 
 
 def test_every_write_in_the_package_goes_through_durable():

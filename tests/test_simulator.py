@@ -5,7 +5,7 @@ import pytest
 
 from windpdm.agent import SINK_FILENAME, MonitoringAgent
 from windpdm.broker import Broker
-from windpdm.errors import StorageFailure
+from windpdm.errors import StorageFailure, UnknownTurbine
 from windpdm.simulator import SimulatorConfig, replay
 from windpdm.synth import SynthConfig, generate
 
@@ -48,6 +48,14 @@ class TestReplay:
         text = msg.payload.decode()
         assert text.startswith("2015-01-01T00:00:00Z,")
         assert len(text.split(",")) == 13  # timestamp + 12 parameters
+
+    def test_unknown_turbine_creates_no_topic(self, tmp_path, replay_store):
+        cfg = SimulatorConfig(store_path=replay_store.out_dir,
+                              broker_path=tmp_path / "broker",
+                              turbines=["T01", "NOPE"])
+        with pytest.raises(UnknownTurbine):
+            replay(cfg)
+        assert Broker(tmp_path / "broker").topics() == []
 
     def test_pacing_close_to_configured_step(self, tmp_path, replay_store):
         # 6 slots at 40 ms per step; the pacing loop must not run fast, and
