@@ -10,17 +10,17 @@ Guarantees (the contract the monitoring agent builds on):
   polled-but-uncommitted window;
 * offsets are contiguous from 0 and observed in order between commits.
 
-On-disk layout: ``<topic>/segments/<base-offset>.log`` files of
-length-prefixed, crc32-checksummed frames, and one offsets log per consumer
-group, ``@groups/<group>.log`` (``NAME_RE`` rejects ``@``, so no topic can
-take that name). A handle keeps each topic as its segments, each with the
-start of every frame and the end of the last; only opening a topic lists its
-directory, and a roll is found by the name at the next offset. The one
-publishing handle of a topic writes at the end of its last segment, or of a
-new one once that end reaches ``max_segment_bytes``, and cuts what lies past
-it, so a failed or torn frame is overwritten by the next acknowledged one.
-No other call writes a segment: every handle reads an incomplete or invalid
-tail frame as not yet published and skips it until then.
+On-disk layout: a topic is ``<topic>/segments/``, made by one ``mkdir``,
+holding ``<base-offset>.log`` files of length-prefixed, crc32-checksummed
+frames; one offsets log per consumer group is ``@groups/<group>.log``
+(``NAME_RE`` rejects ``@``, so no topic can take that name). A handle keeps
+each topic as its segments, each with the start of every frame and the end
+of the last; only opening a topic lists its directory. The one publishing
+handle of a topic writes at the end of its last segment, or of a new one
+once that end reaches ``SEGMENT_BYTES``, and cuts what lies past it, so a
+failed or torn frame is overwritten by the next acknowledged one. No other
+call writes a segment: every handle reads an incomplete or invalid tail
+frame as not yet published and skips it until then.
 
 Each line of an offsets log is one commit: a JSON object holding the group's
 whole offset map, appended with one fsync, so a crash leaves the round's old
@@ -34,9 +34,13 @@ next commit replaces it by its one record. A handle reads the map on the
 group's first use and keeps it in memory for its polls, updating it at each
 of its commits; a topic is consumed for a group by one handle at a time.
 
-An idle poll, from the next offset, opens no file: two stats show that the
-last segment is as long as scanned and that no segment starts at the next
-offset. The directory's mtime is not used: its coarse clock can hide a roll
+The tail rule, ``_TopicState.refresh``, is the one place that looks for
+what other handles appended: one stat of the last segment, scanned from its
+end if it grew, then one stat of the name at the next offset, which is where
+a roll puts the next segment; while the last segment is empty it is that
+segment, so the second stat is skipped. A poll whose committed offset has
+then reached the next offset returns at once, so an idle poll opens no
+file. The directory's mtime is not used: its coarse clock can hide a roll
 made within one tick.
 
 Appends to one topic are serialized by a lock and commits by the flock;
@@ -64,7 +68,7 @@ from .manifest import NAME_RE
 
 _FRAME_HEADER = struct.Struct("<IIQd")  # payload len, crc32(payload), offset, publish ts
 SEGMENT_SUFFIX = ".log"
-DEFAULT_SEGMENT_BYTES = 64 * 1024 * 1024
+SEGMENT_BYTES = 64 * 1024 * 1024  # a publish rolls to a new segment past this
 GROUPS_DIR = "@groups"
 OFFSETS_LOG_BYTES = 64 * 1024  # a group's offsets log is compacted past this size
 
@@ -91,7 +95,7 @@ class _TopicState:
         self.segments_dir = root / name / "segments"
         self.lock = threading.Lock()
         self.segments: list[_Segment] = []  # in offset order
-        # caught_up's memo of (n, segment_path(n)): a Path built per idle poll is slow
+        # refresh's memo of (n, segment_path(n)): a Path built per idle poll is slow
         self._next_segment: tuple[int, Path] = (0, self.segment_path(0))
         for path in sorted(self.segments_dir.glob(f"*{SEGMENT_SUFFIX}"), key=lambda p: int(p.stem)):
             self.scan(path)
@@ -122,21 +126,20 @@ class _TopicState:
         except OSError as exc:
             raise StorageFailure(f"topic {self.name}: scan failed: {exc}") from exc
 
-    def caught_up(self, start: int) -> bool:
-        """Whether a poll from ``start`` finds nothing, by two stats (module docstring)."""
+    def refresh(self) -> int:
+        """Index what other handles appended by the tail rule (module
+        docstring), and return the next offset."""
         with self.lock:
-            if start != self.next_offset:
-                return False
-            last = self.segments[-1] if self.segments else None
-            if self._next_segment[0] != start:
-                self._next_segment = (start, self.segment_path(start))
-            upcoming = self._next_segment[1]
-        try:
-            if last and os.stat(last.path).st_size != last.end:
-                return False
-        except OSError:
-            return False
-        return bool(last and last.base == start) or not os.path.exists(upcoming)
+            if self.segments:
+                self.scan()
+            # an empty last segment is the one at the next offset
+            while not self.segments or self.segments[-1].starts:
+                if self._next_segment[0] != (n := self.next_offset):
+                    self._next_segment = (n, self.segment_path(n))
+                if not os.path.exists(self._next_segment[1]):
+                    break
+                self.scan(self._next_segment[1])
+            return self.next_offset
 
 
 class _GroupLog:
@@ -200,10 +203,9 @@ def _frames(fh, pos: int, end: int):
 class Broker:
     """Handle over a broker directory; all volatile state rebuilds from disk."""
 
-    def __init__(self, root: Path, max_segment_bytes: int = DEFAULT_SEGMENT_BYTES):
+    def __init__(self, root: Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.max_segment_bytes = max_segment_bytes
         self._topics: dict[str, _TopicState] = {}
         self._groups: dict[str, _GroupLog] = {}
         self._registry_lock = threading.Lock()
@@ -226,15 +228,15 @@ class Broker:
         if not NAME_RE.match(name):  # a topic is a directory, named like a turbine
             raise UnknownTopic(f"invalid topic name {name!r}")
         with self._registry_lock:
+            segments_dir = self.root / name / "segments"
             try:
-                (self.root / name).mkdir()  # fails if this handle or another made the topic
+                # fails if this handle or another made the topic; completes a half-made one
+                segments_dir.mkdir(parents=True)
             except FileExistsError:
                 raise TopicExists(f"topic {name!r} already exists") from None
-            state = _TopicState(name, self.root)
-            state.segments_dir.mkdir()
-            fsync_dir(state.segments_dir.parent)
+            fsync_dir(segments_dir.parent)
             fsync_dir(self.root)
-            self._topics[name] = state
+            self._topics[name] = _TopicState(name, self.root)
             return name
 
     def ensure_topic(self, name: str) -> str:
@@ -242,7 +244,7 @@ class Broker:
             return self.create_topic(name)
         except TopicExists:  # load it if another handle made it after this one opened
             with self._registry_lock:
-                if name not in self._topics and (self.root / name / "segments").is_dir():
+                if name not in self._topics:
                     self._topics[name] = _TopicState(name, self.root)
             return name
 
@@ -257,7 +259,7 @@ class Broker:
             frame = _FRAME_HEADER.pack(len(payload), zlib.crc32(payload), offset, time.time()) + payload
             try:
                 # the acknowledged end, not the file size, which counts a failed publish
-                if not state.segments or state.segments[-1].end >= self.max_segment_bytes:
+                if not state.segments or state.segments[-1].end >= SEGMENT_BYTES:
                     create_file(path := state.segment_path(offset))
                     state.segments.append(_Segment(offset, path))
                 segment = state.segments[-1]
@@ -269,17 +271,6 @@ class Broker:
             return offset
 
     # -- consuming --------------------------------------------------------------
-
-    def _refresh_index(self, state: _TopicState) -> None:
-        """Pick up frames appended since the last scan, possibly by another
-        process: scan the last segment, then each one named by the next offset."""
-        with state.lock:
-            if state.segments:
-                state.scan()
-            # an empty last segment is the one at the next offset
-            while (not state.segments or state.segments[-1].starts) and os.path.exists(
-                    path := state.segment_path(state.next_offset)):
-                state.scan(path)
 
     def _group(self, group: str) -> _GroupLog:
         log = self._groups.get(group)
@@ -302,9 +293,8 @@ class Broker:
         topic opens no file (see the module docstring)."""
         state = self._state(topic)
         start = self._group(group).offsets.get(topic, 0)
-        if state.caught_up(start):
+        if start >= state.refresh():
             return []
-        self._refresh_index(state)
         with state.lock:  # each segment to read, and the offsets to read from it
             first = max(bisect_right(state.segments, start, key=lambda seg: seg.base) - 1, 0)
             reads = [(seg, wanted) for seg in islice(state.segments, first, None) if (wanted := range(
@@ -338,10 +328,8 @@ class Broker:
             state = self._state(topic)
             if offset < 0:
                 raise OffsetAhead(f"negative offset {offset}")
-            if offset > state.next_offset:
-                self._refresh_index(state)
-                if offset > state.next_offset:
-                    raise OffsetAhead(f"commit {offset} is ahead of next offset {state.next_offset}")
+            if offset > state.next_offset and offset > (next_offset := state.refresh()):
+                raise OffsetAhead(f"commit {offset} is ahead of next offset {next_offset}")
         with log.lock:
             try:
                 if not log.length and not log.path.parent.is_dir():  # the group's first commit
@@ -361,6 +349,4 @@ class Broker:
             log.offsets, log.length = merged, length
 
     def message_count(self, topic: str) -> int:
-        state = self._state(topic)
-        self._refresh_index(state)
-        return state.next_offset
+        return self._state(topic).refresh()

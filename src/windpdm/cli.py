@@ -166,6 +166,8 @@ def cmd_train(opts) -> int:
 
 
 def cmd_evaluate(opts) -> int:
+    if not opts.get("dump") and "dataset" not in opts:
+        raise UsageError("evaluate needs --dataset unless --dump is given")
     bundle = load_model(Path(opts["model"]))
     if opts.get("dump"):
         print(dump_text(bundle), end="")
@@ -316,7 +318,8 @@ _COMMANDS = {
             _Opt("max-depth", int),
             _Opt("output-dir"))),
     "evaluate": _Command(
-        cmd_evaluate, "evaluate a model bundle against a dataset CSV", ("model", "dataset"), (
+        cmd_evaluate, "evaluate a model bundle against a dataset CSV", ("model",), (
+            _Opt("dataset", help="dataset CSV to score (required without --dump)"),
             _Opt("out", help="write a one-row evaluation CSV here"),
             _Opt("dump", parse_bool, "print the bundle text dump instead"))),
     "grid-search": _Command(

@@ -78,7 +78,10 @@ Record = Union[OperationalRecord, StatusEvent]
 def _read_csv(data: bytes, header: str, parse_row: Callable, names, turbine_id: str) -> list:
     """Check the header line, then parse each non-blank line after it with
     ``parse_row(line, names, turbine_id, lineno)``."""
-    lines = data.decode("utf-8").split("\n")
+    try:
+        lines = data.decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(f"byte {exc.start}: not UTF-8 ({exc.reason})") from None
     got = lines[0].strip()
     if not got:
         raise MalformedRow("missing header line")

@@ -80,6 +80,14 @@ class TestTopics:
             assert broker.ensure_topic("T1") == "T1"
             assert broker.publish("T1", b"a") == 0
 
+    def test_ensure_topic_completes_a_topic_whose_creation_crashed(self, tmp_path):
+        (tmp_path / "b" / "T1").mkdir(parents=True)  # a crash before segments/ was made
+        broker = Broker(tmp_path / "b")
+        assert broker.ensure_topic("T1") == "T1"
+        assert broker.publish("T1", b"a") == 0
+        assert [m.payload for m in broker.poll("g", "T1")] == [b"a"]
+        assert broker.topics() == Broker(tmp_path / "b").topics() == ["T1"]
+
     def test_topic_survives_restart(self, tmp_path):
         a = Broker(tmp_path / "b")
         a.create_topic("T1")
@@ -395,14 +403,15 @@ class TestDurabilityEdgeCases:
         msgs = reader.poll("g", "T1", 10)
         assert [m.payload for m in msgs] == [b"late"]
 
-    def test_segment_rolling(self, tmp_path):
-        broker = Broker(tmp_path / "b", max_segment_bytes=64)
+    def test_segment_rolling(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(broker_mod, "SEGMENT_BYTES", 64)
+        broker = Broker(tmp_path / "b")
         broker.create_topic("T1")
         for i in range(12):
             broker.publish("T1", f"payload-{i:02d}".encode())
         segments = list((tmp_path / "b" / "T1" / "segments").iterdir())
         assert len(segments) > 1
-        reopened = Broker(tmp_path / "b", max_segment_bytes=64)
+        reopened = Broker(tmp_path / "b")
         msgs = reopened.poll("g", "T1", 100)
         assert [m.payload.decode() for m in msgs] == [f"payload-{i:02d}" for i in range(12)]
 
@@ -495,20 +504,21 @@ class TestPollReads:
         assert [m.offset for m in msgs] == list(range(256))
         assert len(opened) == 1
 
-    def test_batch_spanning_segments_reads_each_in_order(self, tmp_path):
-        broker = Broker(tmp_path / "b", max_segment_bytes=64)
+    def test_batch_spanning_segments_reads_each_in_order(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(broker_mod, "SEGMENT_BYTES", 64)
+        broker = Broker(tmp_path / "b")
         broker.create_topic("T1")
         for i in range(12):
             broker.publish("T1", f"payload-{i:02d}".encode())
         broker.commit("g", "T1", 1)
-        msgs = Broker(tmp_path / "b", max_segment_bytes=64).poll("g", "T1", 9)
+        msgs = Broker(tmp_path / "b").poll("g", "T1", 9)
         assert [m.offset for m in msgs] == list(range(1, 10))
         assert [m.payload.decode() for m in msgs] == [f"payload-{i:02d}" for i in range(1, 10)]
 
 
 class TestIdlePoll:
     def _count_slow_calls(self, broker, monkeypatch) -> list[str]:
-        """Record every file open, directory listing and index refresh."""
+        """Record every file open, stat and directory listing."""
         calls = []
 
         def counting(name, real):
@@ -522,7 +532,7 @@ class TestIdlePoll:
         monkeypatch.setattr(os, "listdir", counting("listdir", os.listdir))
         monkeypatch.setattr(os, "scandir", counting("scandir", os.scandir))
         monkeypatch.setattr(Path, "iterdir", counting("iterdir", Path.iterdir))
-        monkeypatch.setattr(broker, "_refresh_index", counting("refresh", broker._refresh_index))
+        monkeypatch.setattr(os, "stat", counting("stat", os.stat))
         return calls
 
     def test_idle_poll_opens_no_file_and_lists_no_directory(self, broker, monkeypatch):
@@ -533,9 +543,11 @@ class TestIdlePoll:
         broker.commit_many("g", {"T1": 1, "T2": 1})
         calls = self._count_slow_calls(broker, monkeypatch)
         for _ in range(3):
-            for topic in ("T1", "T2", "T3"):
+            # the last segment's size and the name at the next offset; T3 has no segment
+            for topic, stats in (("T1", 2), ("T2", 2), ("T3", 1)):
+                calls.clear()
                 assert broker.poll("g", topic) == []
-        assert calls == []
+                assert calls == ["stat"] * stats
         broker.publish("T3", b"c")
         assert [m.payload for m in broker.poll("g", "T3")] == [b"c"]
 
@@ -552,16 +564,17 @@ class TestIdlePoll:
         calls = self._count_slow_calls(reader, monkeypatch)
         assert reader.poll("g", "T1") == []
         assert reader.poll("g", "T1") == []
-        assert calls.count("refresh") == 2
+        assert calls.count("open") == 2
         writer.publish("T1", b"two")
         assert [m.payload for m in reader.poll("g", "T1")] == [b"two"]
         reader.commit("g", "T1", 2)
         calls.clear()
         assert reader.poll("g", "T1") == []
-        assert calls == []
+        assert calls == ["stat", "stat"]
 
     def test_roll_by_another_handle_reaches_a_default_size_reader(self, tmp_path, monkeypatch):
-        writer = Broker(tmp_path / "b", max_segment_bytes=64)
+        monkeypatch.setattr(broker_mod, "SEGMENT_BYTES", 64)
+        writer = Broker(tmp_path / "b")
         writer.create_topic("T1")
         reader = Broker(tmp_path / "b")
         segments = tmp_path / "b" / "T1" / "segments"
@@ -570,10 +583,10 @@ class TestIdlePoll:
             if i == 6:  # a publisher that died between starting a segment and writing it
                 (segments / f"{i:020d}.log").touch()
                 assert reader.poll("g", "T1") == []
-                calls = self._count_slow_calls(reader, monkeypatch)
-                assert reader.poll("g", "T1") == []  # an empty active segment is idle
-                assert calls == []
-                monkeypatch.undo()
+                with monkeypatch.context() as counting:
+                    calls = self._count_slow_calls(reader, counting)
+                    assert reader.poll("g", "T1") == []  # an empty last segment is idle
+                    assert calls == ["stat"]  # it is the one at the next offset
             writer.publish("T1", f"payload-{i}".encode())
             batch = reader.poll("g", "T1")
             assert [m.offset for m in batch] == [i]
@@ -592,7 +605,8 @@ class TestIdlePoll:
         assert not LISTINGS & set(calls)
 
     def test_poll_that_finds_new_frames_lists_no_directory(self, tmp_path, monkeypatch):
-        writer = Broker(tmp_path / "b", max_segment_bytes=64)
+        monkeypatch.setattr(broker_mod, "SEGMENT_BYTES", 64)
+        writer = Broker(tmp_path / "b")
         writer.create_topic("T1")
         reader = Broker(tmp_path / "b")
         calls = self._count_slow_calls(reader, monkeypatch)
@@ -600,22 +614,23 @@ class TestIdlePoll:
             writer.publish("T1", f"payload-{i}".encode())
             calls.clear()
             assert [m.offset for m in reader.poll("g", "T1")] == list(range(i + 1))
-            assert "refresh" in calls and not LISTINGS & set(calls)
+            assert "open" in calls and not LISTINGS & set(calls)
 
     def test_random_polls_match_the_published_log(self, tmp_path, monkeypatch):
-        """A writer of 64-byte segments and a default-size reader, both
-        reopened halfway: every poll from a random committed offset returns
-        the log's slice, and no poll lists a directory."""
+        """A writer of 64-byte segments and a reader, both reopened halfway:
+        every poll from a random committed offset returns the log's slice, and
+        no poll lists a directory."""
+        monkeypatch.setattr(broker_mod, "SEGMENT_BYTES", 64)
         rng = np.random.default_rng(14)
         root = tmp_path / "b"
-        writer = Broker(root, max_segment_bytes=64)
+        writer = Broker(root)
         writer.create_topic("T1")
         reader = Broker(root)
         calls = self._count_slow_calls(reader, monkeypatch)
         published: list[bytes] = []
         for step in range(120):
             if step == 60:
-                writer, reader = Broker(root, max_segment_bytes=64), Broker(root)
+                writer, reader = Broker(root), Broker(root)
                 calls.clear()
             for _ in range(int(rng.integers(0, 4))):
                 payload = rng.bytes(int(rng.integers(1, 80)))

@@ -76,6 +76,13 @@ class TestExitCodes:
                        "--speedup", "0") == 2
         assert capsys.readouterr().err.startswith("error: data: speedup must be positive")
 
+    def test_csv_that_is_not_utf8_is_2(self, synth_store, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"timestamp,alarm_code,kind\n2015-01-01T00:03:21Z,Caf\xe9,A\n")
+        assert run_cli("ingest", "--store", str(synth_store), "--turbine", "T01",
+                       "--status", str(bad)) == 2
+        assert capsys.readouterr().err.startswith("error: data: byte 50: not UTF-8")
+
     def test_runtime_error_is_3(self, capsys):
         assert run_cli("status", "--endpoint", "http://127.0.0.1:1") == 3
         assert "error: runtime:" in capsys.readouterr().err
@@ -117,6 +124,13 @@ class TestPipelineCommands:
         assert run_cli("evaluate", "--model", str(model), "--dataset", "unused",
                        "--dump") == 0
         assert "model bundle: turbine T01" in capsys.readouterr().out
+
+    def test_evaluate_dump_needs_no_dataset(self, trained, capsys):
+        model = trained / "models" / "T01" / "horizon_10.model"
+        assert run_cli("evaluate", "--model", str(model), "--dump") == 0
+        assert "model bundle: turbine T01" in capsys.readouterr().out
+        assert run_cli("evaluate", "--model", str(model)) == 1
+        assert "evaluate needs --dataset" in capsys.readouterr().err
 
     def test_grid_search_writes_cells(self, trained, tmp_path):
         dataset = trained / "datasets" / "T01" / "horizon_10.csv"
