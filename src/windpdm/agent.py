@@ -22,9 +22,15 @@ nothing new opens no file: an idle round costs two stats per turbine. A
 failing handler is contained to its message (dead-lettered). A
 ``StorageFailure`` backs off the turbine whose poll raised it, or every
 turbine of the round whose commit raised it, while the others keep flowing
-(health reports Degraded). Any other exception, an unwritable sink included,
+(health reports Degraded). The first wait is ``BACKOFF_INITIAL`` seconds and
+each further failure doubles it, up to ``BACKOFF_MAX``; a poll or commit that
+succeeds ends the backoff. Any other exception, an unwritable sink included,
 stops the agent and names its cause in ``fatal_error``. Both logs append at
 the length acknowledged so far and cut a torn last line on open.
+
+Each turbine's six bundles are scored from one list, built once at start:
+(horizon, forest, the manifest index of each bundle feature), in
+``HORIZONS_MINUTES`` order.
 """
 
 from __future__ import annotations
@@ -44,10 +50,10 @@ from .errors import (
     MissingModel,
     StorageFailure,
 )
-from .forest import predict
+from .forest import RandomForest, predict
 from .ingest import parse_operational_row
 from .manifest import Manifest
-from .model_io import ModelBundle, bundle_path, load_model
+from .model_io import FORMAT_VERSION, ModelBundle, bundle_path, load_model
 from .patterns import HORIZONS_MINUTES
 from .timeutil import format_rfc3339, parse_rfc3339
 
@@ -57,6 +63,9 @@ DEAD_LETTER_FILENAME = "dead_letter.jsonl"
 READY = "Ready"
 DEGRADED = "Degraded"
 STOPPED = "Stopped"
+
+BACKOFF_INITIAL = 0.1  # seconds a turbine sits out after its first StorageFailure
+BACKOFF_MAX = 10.0  # the cap of the doubling wait
 
 
 @dataclass(frozen=True)
@@ -194,8 +203,6 @@ class MonitoringAgent:
         group: str = "monitoring-agent",
         max_batch: int = 256,
         idle_poll_interval: float = 0.02,
-        backoff_initial: float = 0.1,
-        backoff_max: float = 10.0,
     ):
         self.broker = broker
         self.models = models
@@ -205,8 +212,6 @@ class MonitoringAgent:
         self.group = group
         self.max_batch = max_batch
         self.idle_poll_interval = idle_poll_interval
-        self.backoff_initial = backoff_initial
-        self.backoff_max = backoff_max
 
         self.counters = {
             "processed": 0,
@@ -219,22 +224,22 @@ class MonitoringAgent:
         self.fatal_error: str | None = None
         # turbines in backoff (status Degraded while any is): the monotonic
         # time each sits out until, and the wait its next StorageFailure imposes
-        self._not_before: dict[str, float] = {}
-        self._backoff: dict[str, float] = {}
+        self._backoff: dict[str, tuple[float, float]] = {}
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
 
-        # feature index per (turbine, horizon), resolved against the manifest
-        self._projections: dict[tuple[str, int], list[int]] = {}
+        # per turbine: (horizon, forest, feature index into the manifest's parameters)
+        self._scorers: dict[str, list[tuple[int, RandomForest, list[int]]]] = {}
         for turbine, per_horizon in models.items():
-            for h, bundle in per_horizon.items():
+            self._scorers[turbine] = scorers = []
+            for h in HORIZONS_MINUTES:
+                bundle = per_horizon[h]
                 try:
-                    self._projections[(turbine, h)] = [
-                        manifest.parameters.index(name) for name in bundle.feature_names
-                    ]
+                    index = [manifest.parameters.index(name) for name in bundle.feature_names]
                 except ValueError as exc:
                     raise MissingModel(
                         f"bundle ({turbine}, {h}) uses a feature missing from the manifest: {exc}")
+                scorers.append((h, bundle.forest, index))
         # dedupe index rebuilt from the sink: the sink is the durable record
         self._seen: set[tuple[str, int]] = set()
         for line in iter_lines(sink.path):
@@ -322,27 +327,21 @@ class MonitoringAgent:
         if key in self._seen:
             return Skip("duplicate")
         horizons = {}
-        bundle_version = 0
-        for h in HORIZONS_MINUTES:
-            bundle = self.models[turbine][h]
-            bundle_version = bundle.format_version
-            idx = self._projections[(turbine, h)]
-            x = [record.values[i] for i in idx]
-            class_id, votes = predict(bundle.forest, x)
-            winner_index = bundle.forest.class_ids.index(class_id)
-            horizons[h] = HorizonPrediction(class_id, votes[winner_index] / bundle.forest.n_trees)
+        for h, forest, index in self._scorers[turbine]:
+            # predict breaks vote ties to the lowest class index: the winner holds max(votes)
+            class_id, votes = predict(forest, [record.values[i] for i in index])
+            horizons[h] = HorizonPrediction(class_id, max(votes) / forest.n_trees)
         return PredictionNotification(
             turbine_id=turbine,
             t=record.timestamp,
             horizons=horizons,
-            bundle_version=bundle_version,
+            bundle_version=FORMAT_VERSION,
             emitted_at=time.time(),
         )
 
     def _back_off(self, turbine: str) -> None:
-        backoff = self._backoff.get(turbine, self.backoff_initial)
-        self._not_before[turbine] = time.monotonic() + backoff
-        self._backoff[turbine] = min(backoff * 2.0, self.backoff_max)
+        _, wait = self._backoff.get(turbine, (0.0, BACKOFF_INITIAL))
+        self._backoff[turbine] = (time.monotonic() + wait, min(wait * 2.0, BACKOFF_MAX))
         self._bump("backoffs")
 
     def _drain_round(self) -> int:
@@ -356,7 +355,7 @@ class MonitoringAgent:
         for turbine in sorted(self.models):
             if self._stop.is_set():
                 break
-            if time.monotonic() < self._not_before.get(turbine, 0.0):
+            if turbine in self._backoff and time.monotonic() < self._backoff[turbine][0]:
                 continue
             try:
                 msgs = self.broker.poll(self.group, turbine, self.max_batch)

@@ -27,8 +27,6 @@ import urllib.request
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import agent as agent_mod
 from . import simulator as simulator_mod
 from . import synth as synth_mod
@@ -38,7 +36,6 @@ from .dataset import load_dataset
 from .durable import atomic_write
 from .endpoint import DEFAULT_HOST, DEFAULT_PORT, AgentEndpoint
 from .errors import DataError, RuntimeFailure, WindPdmError
-from .features import FeatureMatrix, select_parameters
 from .ingest import TurbineStore, parse_operational_csv, parse_status_csv
 from .manifest import parse_bool, parse_key_values
 from .metrics import (
@@ -51,7 +48,7 @@ from .metrics import (
     write_grid_csv,
 )
 from .model_io import dump_text, load_model
-from .patterns import build_transactions, mine_patterns, patterns_report
+from .patterns import patterns_report
 from .timeutil import parse_rfc3339
 
 
@@ -125,15 +122,13 @@ def cmd_select_features(opts) -> int:
     store = TurbineStore.open(Path(opts["store"]))
     turbine = opts["turbine"]
     start, end = parse_rfc3339(opts["start"]), parse_rfc3339(opts["end"])
-    ops = list(store.scan_operational(turbine, start, end))
-    matrix = FeatureMatrix(np.asarray([r.values for r in ops]), list(store.manifest.parameters))
-    report = select_parameters(matrix, **_given(opts, "variance_threshold", "correlation_threshold"))
+    _ops, report = trainer_mod.select_features(
+        store, turbine, start, end, **_given(opts, "variance_threshold", "correlation_threshold"))
     print(report.to_text(), end="")
     if "out" in opts:
         out = Path(opts["out"])
         out.mkdir(parents=True, exist_ok=True)
-        atomic_write(out / f"selection_{turbine}.txt", report.to_text().encode("utf-8"))
-        atomic_write(out / f"selection_{turbine}.json", report.to_json().encode("utf-8"))
+        trainer_mod.write_selection_report(out, turbine, report)
     return 0
 
 
@@ -141,10 +136,8 @@ def cmd_mine_patterns(opts) -> int:
     store = TurbineStore.open(Path(opts["store"]))
     turbine = opts["turbine"]
     start, end = parse_rfc3339(opts["start"]), parse_rfc3339(opts["end"])
-    events = list(store.scan_status(turbine, start, end))
-    transactions = build_transactions(events, turbine, start, end)
-    mined = mine_patterns(transactions, set(store.manifest.critical_alarms),
-                          **_given(opts, "min_support", "max_patterns"))
+    _transactions, mined = trainer_mod.mine_classes(
+        store, turbine, start, end, **_given(opts, "min_support", "max_patterns"))
     text = patterns_report(mined, turbine)
     print(text, end="")
     if "out" in opts:

@@ -9,14 +9,13 @@ rebalancing), so the split is stratified per class.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .durable import atomic_write
+from .durable import atomic_write, atomic_write_csv
 from .errors import EmptyDataset, InvalidValue
 from .ingest import OperationalRecord
 from .patterns import ClassTimeline, HORIZONS_MINUTES
@@ -60,13 +59,14 @@ def label_records(
     timeline: ClassTimeline,
     horizon_minutes: int,
 ) -> HorizonDataset:
-    """Pair each record's selected features with the label at t+horizon.
+    """Pair each record's selected features with the label at t+horizon,
+    for a horizon of ``HORIZONS_MINUTES``; any other raises InvalidValue.
 
     Records whose t+horizon falls outside the timeline are dropped and
-    counted. horizon 0 is allowed as a debug mode (reproduces the timeline).
+    counted.
     """
-    if horizon_minutes != 0 and horizon_minutes not in VALID_HORIZONS:
-        raise InvalidValue(f"horizon must be one of {sorted(VALID_HORIZONS)} (or 0 for debug)")
+    if horizon_minutes not in VALID_HORIZONS:
+        raise InvalidValue(f"horizon must be one of {sorted(VALID_HORIZONS)}")
     index = [parameter_names.index(name) for name in feature_names]
     delta = horizon_minutes * 60
     rows = []
@@ -143,11 +143,8 @@ def stratified_split(d: HorizonDataset, train_fraction: float = DEFAULT_TRAIN_FR
 def save_dataset(d: HorizonDataset, csv_path: Path) -> None:
     """Persist as CSV with a trailing label column plus a JSON sidecar."""
     csv_path = Path(csv_path)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(d.feature_names) + ["label"])
-    writer.writerows([repr(float(v)) for v in row] + [int(label)] for row, label in zip(d.features, d.labels))
-    atomic_write(csv_path, buf.getvalue().encode("utf-8"))
+    atomic_write_csv(csv_path, list(d.feature_names) + ["label"],
+                     ([repr(float(v)) for v in row] + [int(label)] for row, label in zip(d.features, d.labels)))
     sidecar = {
         "turbine_id": d.turbine_id,
         "horizon_minutes": d.horizon_minutes,

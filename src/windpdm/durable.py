@@ -3,19 +3,21 @@ logs, sinks) are created by ``create_file`` or ``cut_torn_line`` and written
 by ``append_at`` at the length their owner acknowledged and cut back to
 their last whole entry on open, or skipped there by readers, so a failed or
 torn append is never read back. Whole files (bundles, compacted offsets
-logs, manifest, datasets, reports) are replaced by ``atomic_write``: a crash
-leaves the old file or the new one. Files that several processes write
-(offsets logs) are read and written under a ``flocked`` lock on their
-directory.
+logs, manifest, datasets, reports) are replaced by ``atomic_write``, CSV
+files through ``atomic_write_csv``: a crash leaves the old file or the new
+one. Files that several processes write (offsets logs) are read and written
+under a ``flocked`` lock on their directory.
 """
 
 from __future__ import annotations
 
+import csv
 import fcntl
+import io
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 READ_BYTES = 1 << 20  # block size of log reads; a follower finishes a line it cuts
 
@@ -100,3 +102,13 @@ def atomic_write(path: Path, data: bytes) -> None:
         os.fsync(fh.fileno())
     os.replace(tmp, path)
     fsync_dir(path.parent)
+
+
+def atomic_write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
+    """``atomic_write`` a CSV file: the header, then one line per row, each
+    ended by a bare newline."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    atomic_write(path, buf.getvalue().encode("utf-8"))

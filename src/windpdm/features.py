@@ -46,9 +46,6 @@ class FeatureMatrix:
     def p(self) -> int:
         return self.values.shape[1]
 
-    def column(self, name: str) -> np.ndarray:
-        return self.values[:, self.names.index(name)]
-
 
 @dataclass
 class StandardizedMatrix:

@@ -10,8 +10,6 @@ None rather than 0.
 
 from __future__ import annotations
 
-import csv
-import io
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dataset import HorizonDataset, stratified_split
-from .durable import atomic_write
+from .durable import atomic_write_csv
 from .errors import EmptyMatrix, LengthMismatch, UnknownLabel
 from .forest import RandomForest, predict_batch, train_forest
 from .patterns import NORMAL_CLASS
@@ -43,9 +41,15 @@ class EvaluationReport:
     error_accuracy: Optional[float]
     no_error_accuracy: Optional[float]
     global_accuracy: float
-    sensitivity: Optional[float]
-    specificity: Optional[float]
     prevalence: list[float]  # fraction of evaluated rows per class
+
+    @property
+    def sensitivity(self) -> Optional[float]:
+        return self.error_accuracy
+
+    @property
+    def specificity(self) -> Optional[float]:
+        return self.no_error_accuracy
 
 
 def confusion(pred: Sequence[int], actual: Sequence[int], classes: list[int]) -> ConfusionMatrix:
@@ -92,8 +96,6 @@ def evaluate(m: ConfusionMatrix) -> EvaluationReport:
         error_accuracy=error_accuracy,
         no_error_accuracy=no_error_accuracy,
         global_accuracy=global_accuracy,
-        sensitivity=error_accuracy,
-        specificity=no_error_accuracy,
         prevalence=prevalence,
     )
 
@@ -157,11 +159,8 @@ def grid_search(
 
 
 def write_grid_csv(g: GridResult, path: Path) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n_trees", "max_depth", "accuracy", "seconds"])
-    writer.writerows([c.n_trees, c.max_depth, repr(c.accuracy), repr(c.seconds)] for c in g.cells)
-    atomic_write(path, buf.getvalue().encode("utf-8"))
+    atomic_write_csv(path, ["n_trees", "max_depth", "accuracy", "seconds"],
+                     ([c.n_trees, c.max_depth, repr(c.accuracy), repr(c.seconds)] for c in g.cells))
 
 
 def _fmt(rate: Optional[float]) -> str:
@@ -192,12 +191,7 @@ def evaluation_csv_rows(reports: dict[int, EvaluationReport]) -> tuple[list[str]
 
 
 def write_evaluation_csv(reports: dict[int, EvaluationReport], path: Path) -> None:
-    header, rows = evaluation_csv_rows(reports)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    atomic_write(path, buf.getvalue().encode("utf-8"))
+    atomic_write_csv(path, *evaluation_csv_rows(reports))
 
 
 def spearman_rank_correlation(x: Sequence[float], y: Sequence[float]) -> float:

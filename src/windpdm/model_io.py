@@ -39,7 +39,6 @@ class ModelBundle:
     feature_names: list[str]
     patterns: list[StatusPattern]
     created_at: int  # epoch seconds, supplied by the training plan
-    format_version: int = FORMAT_VERSION
 
 
 def bundle_path(models_dir: Path, turbine_id: str, horizon_minutes: int) -> Path:
@@ -82,7 +81,7 @@ def _bundle_payload(b: ModelBundle) -> bytes:
 
 def serialize_model(b: ModelBundle) -> bytes:
     payload = _bundle_payload(b)
-    return _HEADER.pack(MAGIC, b.format_version, len(payload)) + payload + hashlib.sha256(payload).digest()
+    return _HEADER.pack(MAGIC, FORMAT_VERSION, len(payload)) + payload + hashlib.sha256(payload).digest()
 
 
 def save_model(b: ModelBundle, path: Path) -> None:
@@ -146,7 +145,6 @@ def deserialize_model(blob: bytes, source: str = "<bytes>") -> ModelBundle:
         feature_names=doc["feature_names"],
         patterns=patterns,
         created_at=doc["created_at"],
-        format_version=version,
     )
 
 
@@ -155,7 +153,7 @@ def dump_text(b: ModelBundle) -> str:
     lines = [
         f"model bundle: turbine {b.turbine_id}, horizon t+{b.horizon_minutes} min",
         f"  created_at: {format_rfc3339(b.created_at)}",
-        f"  format version: {b.format_version}",
+        f"  format version: {FORMAT_VERSION}",
         f"  features ({len(b.feature_names)}): {', '.join(b.feature_names)}",
         f"  classes: {b.forest.class_ids}",
         "  patterns:",

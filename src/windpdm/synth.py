@@ -23,7 +23,7 @@ of the seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +60,14 @@ class PlantedPattern:
     target_occupancy: float
 
 
+# Every store plants these two. They use critical alarms only, and their
+# episodes fit in the blocks of any slot count (checked up to 2,000,000).
+PATTERNS = (
+    PlantedPattern(frozenset(_ALARM_POOL[0:2]), 0.10),
+    PlantedPattern(frozenset(_ALARM_POOL[2:3]), 0.05),
+)
+
+
 @dataclass
 class SynthConfig:
     out_dir: Path
@@ -70,7 +78,6 @@ class SynthConfig:
     n_alarms: int = 6
     signal_scale: float = 1.0
     noise_scale: float = 0.1
-    planted: list[PlantedPattern] = field(default_factory=list)
 
     def __post_init__(self):
         self.out_dir = Path(self.out_dir)
@@ -104,15 +111,6 @@ class SynthConfig:
     @property
     def turbine_names(self) -> list[str]:
         return [f"T{i + 1:02d}" for i in range(self.n_turbines)]
-
-    def planted_patterns(self) -> list[PlantedPattern]:
-        if self.planted:
-            return self.planted
-        critical = self.alarm_names[:N_CRITICAL]
-        return [
-            PlantedPattern(frozenset(critical[0:2]), 0.10),
-            PlantedPattern(frozenset(critical[2:3]), 0.05),
-        ]
 
 
 @dataclass
@@ -160,15 +158,10 @@ def _plan_episodes(cfg: SynthConfig, rng: np.random.Generator) -> list[tuple[int
     keep a 6-slot prodrome gap before and a 7-slot margin after."""
     block = PRODROME_SLOTS + EPISODE_SLOTS + 7
     n_blocks = cfg.n_slots // block
-    patterns = cfg.planted_patterns()
     wanted = [
         int(round(p.target_occupancy * cfg.n_slots / EPISODE_SLOTS))
-        for p in patterns
+        for p in PATTERNS
     ]
-    if sum(wanted) > n_blocks:
-        raise InvalidValue(
-            f"target occupancies need {sum(wanted)} blocks but only {n_blocks} fit; "
-            "increase days or lower occupancy")
     order = rng.permutation(n_blocks)
     episodes = []
     cursor = 0
@@ -192,12 +185,6 @@ def generate(cfg: SynthConfig) -> tuple[TurbineStore, GroundTruth]:
     """Build a valid turbine store plus its ground truth under ``out_dir``."""
     params = cfg.parameter_names
     alarms = cfg.alarm_names
-    patterns = cfg.planted_patterns()
-    for p in patterns:
-        if not p.alarms <= set(alarms[:N_CRITICAL]):
-            raise InvalidValue(f"planted pattern {sorted(p.alarms)} uses non-critical alarms")
-    if 3 * len(patterns) > cfg.n_parameters - 2:
-        raise InvalidValue("not enough parameters for disjoint signatures plus fillers")
 
     manifest = Manifest(
         parameters=params,
@@ -206,7 +193,7 @@ def generate(cfg: SynthConfig) -> tuple[TurbineStore, GroundTruth]:
         critical_alarms=alarms[:N_CRITICAL],
     )
     store = TurbineStore.create(cfg.out_dir, manifest)
-    truth = GroundTruth(patterns=patterns, labels={}, start=cfg.start, n_slots=cfg.n_slots)
+    truth = GroundTruth(patterns=list(PATTERNS), labels={}, start=cfg.start, n_slots=cfg.n_slots)
 
     p_count = cfg.n_parameters
     for t_index, turbine in enumerate(cfg.turbine_names):
@@ -245,18 +232,17 @@ def generate(cfg: SynthConfig) -> tuple[TurbineStore, GroundTruth]:
         )
         # planted signatures
         delta = 5.0 * cfg.signal_scale
-        for pi in range(1, len(patterns) + 1):
+        for pi in range(1, len(PATTERNS) + 1):
             mask = onset_pattern == pi
             onset_cols, offset_cols = _signature_params(cfg, pi)
             for col in onset_cols:
                 values[mask, col] += delta * onset_level[mask]
             for col in offset_cols:
                 values[mask, col] += delta * offset_level[mask]
-        # filler columns: one tightly correlated pair and one constant
-        if p_count >= 3 * len(patterns) + 2:
-            a = 3 * len(patterns)
-            b = a + 1
-            values[:, b] = 0.98 * values[:, a] + rng.normal(0.0, 0.01, size=cfg.n_slots)
+        # filler columns (n_parameters >= 8 leaves room): one tightly
+        # correlated pair and one constant
+        a = 3 * len(PATTERNS)
+        values[:, a + 1] = 0.98 * values[:, a] + rng.normal(0.0, 0.01, size=cfg.n_slots)
         values[:, p_count - 1] = 42.0  # constant, dropped by standardization
 
         records = [
@@ -270,7 +256,7 @@ def generate(cfg: SynthConfig) -> tuple[TurbineStore, GroundTruth]:
         for pi, start_slot in episodes:
             begin_ts = cfg.start + start_slot * SLOT_SECONDS
             end_ts = cfg.start + (start_slot + EPISODE_SLOTS) * SLOT_SECONDS
-            for i, code in enumerate(sorted(patterns[pi - 1].alarms)):
+            for i, code in enumerate(sorted(PATTERNS[pi - 1].alarms)):
                 # keep the interval strictly inside the episode's slots
                 events.append(StatusEvent(turbine, begin_ts + i, code, EventKind.ACTIVATION))
                 events.append(StatusEvent(turbine, end_ts - 1 - i, code, EventKind.DEACTIVATION))

@@ -4,7 +4,10 @@ For each planned turbine: load its history, select parameters, mine the
 alarm patterns, build the six horizon datasets, train and evaluate six
 forests, and persist six bundles plus reports. One turbine's failure never
 blocks the rest; every planned (turbine, horizon) pair ends up either
-completed or carrying a skip reason.
+completed or carrying a skip reason. The first two stages,
+``select_features`` and ``mine_classes``, also run alone as the
+``select-features`` and ``mine-patterns`` commands, which write the same
+reports.
 
 All randomness flows from the plan seed through a documented derivation:
 ``derive_seed(plan_seed, turbine, horizon, purpose)`` is the first 8 bytes
@@ -26,7 +29,7 @@ import numpy as np
 
 from .dataset import DEFAULT_TRAIN_FRACTION, label_records, save_dataset, stratified_split
 from .durable import atomic_write
-from .errors import DataError, PlanInvalid, RuntimeFailure
+from .errors import DataError, EmptyDataset, PlanInvalid, RuntimeFailure
 from .features import (
     DEFAULT_CORRELATION_THRESHOLD,
     DEFAULT_VARIANCE_THRESHOLD,
@@ -35,7 +38,7 @@ from .features import (
     select_parameters,
 )
 from .forest import DEFAULT_MAX_DEPTH, DEFAULT_N_TREES, train_forest
-from .ingest import TurbineStore
+from .ingest import OperationalRecord, TurbineStore
 from .manifest import parse_bool, parse_key_values, parse_name_list
 from .metrics import EvaluationReport, score, write_evaluation_csv
 from .model_io import ModelBundle, bundle_path, save_model
@@ -44,6 +47,7 @@ from .patterns import (
     DEFAULT_MIN_SUPPORT,
     HORIZONS_MINUTES,
     StatusPattern,
+    Transaction,
     build_class_timeline,
     build_transactions,
     mine_patterns,
@@ -159,6 +163,38 @@ class TrainingRunReport:
         return {"pooled": pooled, "macro": macro}
 
 
+def select_features(
+    store: TurbineStore, turbine: str, start: int, end: int,
+    variance_threshold: float = DEFAULT_VARIANCE_THRESHOLD,
+    correlation_threshold: float = DEFAULT_CORRELATION_THRESHOLD,
+) -> tuple[list[OperationalRecord], SelectionReport]:
+    """Stage 1: the turbine's operational rows in [start, end) and the
+    parameters the funnel keeps; fewer than 2 rows raise EmptyDataset."""
+    ops = list(store.scan_operational(turbine, start, end))
+    if len(ops) < 2:
+        raise EmptyDataset(f"only {len(ops)} operational rows in range")
+    matrix = FeatureMatrix(np.asarray([rec.values for rec in ops]), list(store.manifest.parameters))
+    return ops, select_parameters(matrix, variance_threshold, correlation_threshold)
+
+
+def mine_classes(
+    store: TurbineStore, turbine: str, start: int, end: int,
+    min_support: float = DEFAULT_MIN_SUPPORT,
+    max_patterns: int = DEFAULT_MAX_PATTERNS,
+) -> tuple[list[Transaction], list[StatusPattern]]:
+    """Stage 2: the turbine's 10-minute alarm transactions in [start, end)
+    and the critical patterns mined from them, the failure classes."""
+    transactions = build_transactions(list(store.scan_status(turbine, start, end)), turbine, start, end)
+    return transactions, mine_patterns(
+        transactions, set(store.manifest.critical_alarms), min_support, max_patterns)
+
+
+def write_selection_report(directory: Path, turbine: str, selection: SelectionReport) -> None:
+    """``selection_<turbine>.txt`` and ``.json`` under ``directory``."""
+    atomic_write(directory / f"selection_{turbine}.txt", selection.to_text().encode("utf-8"))
+    atomic_write(directory / f"selection_{turbine}.json", selection.to_json().encode("utf-8"))
+
+
 def _skip_reason(exc: Exception) -> str:
     """Data errors are expected and named by type; anything else is a bug."""
     if isinstance(exc, DataError):
@@ -167,33 +203,19 @@ def _skip_reason(exc: Exception) -> str:
 
 
 def _train_turbine(plan: TrainingPlan, store: TurbineStore, turbine: str):
-    outcomes: list[HorizonOutcome] = []
-    selection = None
-    patterns = None
-
-    def skip_all(reason: str):
-        for h in HORIZONS_MINUTES:
-            outcomes.append(HorizonOutcome(turbine, h, "skipped", skip_reason=reason))
-
+    selection = patterns = None
     try:
-        ops = list(store.scan_operational(turbine, plan.start, plan.end))
-        if len(ops) < 2:
-            skip_all(f"only {len(ops)} operational rows in range")
-            return outcomes, selection, patterns
-        matrix = FeatureMatrix(
-            np.asarray([rec.values for rec in ops]), list(store.manifest.parameters))
-        selection = select_parameters(
-            matrix, plan.variance_threshold, plan.correlation_threshold)
-
-        events = list(store.scan_status(turbine, plan.start, plan.end))
-        transactions = build_transactions(events, turbine, plan.start, plan.end)
-        critical = set(store.manifest.critical_alarms)
-        patterns = mine_patterns(transactions, critical, plan.min_support, plan.max_patterns)
-        timeline = build_class_timeline(transactions, patterns, critical)
+        ops, selection = select_features(
+            store, turbine, plan.start, plan.end, plan.variance_threshold, plan.correlation_threshold)
+        transactions, patterns = mine_classes(
+            store, turbine, plan.start, plan.end, plan.min_support, plan.max_patterns)
+        timeline = build_class_timeline(transactions, patterns, set(store.manifest.critical_alarms))
     except Exception as exc:  # isolate failures to this turbine
-        skip_all(_skip_reason(exc))
-        return outcomes, selection, patterns
+        reason = _skip_reason(exc)
+        return [HorizonOutcome(turbine, h, "skipped", skip_reason=reason)
+                for h in HORIZONS_MINUTES], selection, patterns
 
+    outcomes: list[HorizonOutcome] = []
     for h in HORIZONS_MINUTES:
         begin = time.perf_counter()
         try:
@@ -262,8 +284,7 @@ def run(plan: TrainingPlan) -> TrainingRunReport:
 def _write_reports(plan: TrainingPlan, report: TrainingRunReport) -> None:
     reports_dir = plan.output_dir / "reports"
     for turbine, selection in report.selections.items():
-        atomic_write(reports_dir / f"selection_{turbine}.txt", selection.to_text().encode("utf-8"))
-        atomic_write(reports_dir / f"selection_{turbine}.json", selection.to_json().encode("utf-8"))
+        write_selection_report(reports_dir, turbine, selection)
     for turbine, patterns in report.patterns.items():
         atomic_write(reports_dir / f"patterns_{turbine}.txt",
                      patterns_report(patterns, turbine).encode("utf-8"))

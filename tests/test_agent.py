@@ -9,6 +9,7 @@ import urllib.request
 import numpy as np
 import pytest
 
+from windpdm import agent as agent_mod
 from windpdm.agent import (
     DEAD_LETTER_FILENAME,
     READY,
@@ -72,13 +73,19 @@ def row_payload(ts, wind_speed=1.0):
 
 
 @pytest.fixture
-def rig(tmp_path, manifest):
+def short_backoff(monkeypatch):
+    monkeypatch.setattr(agent_mod, "BACKOFF_INITIAL", 0.02)
+    monkeypatch.setattr(agent_mod, "BACKOFF_MAX", 0.1)
+
+
+@pytest.fixture
+def rig(tmp_path, manifest, short_backoff):
     models_dir = tmp_path / "models"
     bundles = make_models(models_dir, manifest.turbines)
     broker = Broker(tmp_path / "broker")
     agent = MonitoringAgent.start(
         models_dir, broker, list(manifest.turbines), tmp_path / "sink", manifest,
-        idle_poll_interval=0.005, backoff_initial=0.02, backoff_max=0.2)
+        idle_poll_interval=0.005)
     return agent, broker, bundles, tmp_path
 
 
@@ -242,7 +249,7 @@ class TestCrashRecovery:
         assert agent.process_available() == 0
         assert agent.status == "Degraded"
         assert sorted(agent._backoff) == ["T1", "T2"]
-        time.sleep(2 * agent.backoff_initial)
+        time.sleep(2 * agent_mod.BACKOFF_INITIAL)
         # redelivered, and found in the sink the failed round already wrote
         assert agent.process_available() == 2
         assert agent.status == READY
@@ -289,14 +296,14 @@ class TestSupervision:
         assert len(dead) == 1
         assert "injected handler panic" in dead[0]
 
-    def test_broker_pause_and_resume_without_loss(self, tmp_path, manifest):
+    def test_broker_pause_and_resume_without_loss(self, tmp_path, manifest, short_backoff):
         models_dir = tmp_path / "models"
         make_models(models_dir, manifest.turbines)
         inner = Broker(tmp_path / "broker")
         flaky = FaultyBroker(inner)
         agent = MonitoringAgent.start(
             models_dir, flaky, list(manifest.turbines), tmp_path / "sink", manifest,
-            idle_poll_interval=0.005, backoff_initial=0.02, backoff_max=0.1)
+            idle_poll_interval=0.005)
         for i in range(4):
             inner.publish("T1", row_payload(T0 + i * 600))
         flaky.pause_for(300)
@@ -318,14 +325,14 @@ class TestSupervision:
         assert agent.counters["notifications"] == 4
         assert agent.counters["backoffs"] >= 1
 
-    def test_paused_topic_does_not_stall_the_others(self, tmp_path, manifest):
+    def test_paused_topic_does_not_stall_the_others(self, tmp_path, manifest, short_backoff):
         models_dir = tmp_path / "models"
         make_models(models_dir, manifest.turbines)
         inner = Broker(tmp_path / "broker")
         flaky = FaultyBroker(inner)
         agent = MonitoringAgent.start(
             models_dir, flaky, list(manifest.turbines), tmp_path / "sink", manifest,
-            idle_poll_interval=0.005, backoff_initial=0.02, backoff_max=0.1)
+            idle_poll_interval=0.005)
         sink_file = tmp_path / "sink" / SINK_FILENAME
 
         def notified(turbine):

@@ -103,6 +103,15 @@ class TestPipelineCommands:
         assert "final parameters" in out
         assert (tmp_path / "sel" / "selection_T01.json").exists()
 
+    @pytest.mark.parametrize("start, end, rows", [
+        ("2016-01-01T00:00:00Z", "2016-01-02T00:00:00Z", 0),
+        ("2015-01-04T23:50:00Z", "2015-01-05T00:00:00Z", 1),
+    ])
+    def test_select_features_on_too_few_rows_is_2(self, synth_store, capsys, start, end, rows):
+        assert run_cli("select-features", "--store", str(synth_store), "--turbine", "T01",
+                       "--start", start, "--end", end) == 2
+        assert capsys.readouterr().err == f"error: data: only {rows} operational rows in range\n"
+
     def test_mine_patterns_lists_classes(self, synth_store, capsys):
         assert run_cli("mine-patterns", "--store", str(synth_store),
                        "--turbine", "T01",
@@ -173,6 +182,27 @@ class TestStagesAgreeWithTrain:
         reports = tmp_path / "out" / "reports"
         assert (reports / "selection_T01.txt").read_text() == selection
         assert (reports / "patterns_T01.txt").read_text() == patterns
+
+    def test_out_files_are_the_train_reports(self, synth_store, tmp_path):
+        # one stage function and one writer each: with the plan's range and
+        # thresholds, the stage commands write the train reports byte for byte
+        window = ["--store", str(synth_store), "--turbine", "T01",
+                  "--start", "2015-01-01T00:00:00Z", "--end", "2015-01-04T00:00:00Z"]
+        plan = tmp_path / "plan.conf"
+        plan.write_text(
+            f"store_path = {synth_store}\noutput_dir = {tmp_path / 'out'}\n"
+            "start = 2015-01-01T00:00:00Z\nend = 2015-01-04T00:00:00Z\n"
+            "variance_threshold = 0.9\ncorrelation_threshold = 0.9\n"
+            "min_support = 0.04\nmax_patterns = 1\nn_trees = 2\nmax_depth = 2\n")
+        assert run_cli("train", "--plan", str(plan)) == 0
+        assert run_cli("select-features", *window, "--variance-threshold", "0.9",
+                       "--correlation-threshold", "0.9", "--out", str(tmp_path / "sel")) == 0
+        assert run_cli("mine-patterns", *window, "--min-support", "0.04", "--max-patterns", "1",
+                       "--out", str(tmp_path / "patterns.txt")) == 0
+        reports = tmp_path / "out" / "reports"
+        for name in ("selection_T01.txt", "selection_T01.json"):
+            assert (tmp_path / "sel" / name).read_bytes() == (reports / name).read_bytes()
+        assert (tmp_path / "patterns.txt").read_bytes() == (reports / "patterns_T01.txt").read_bytes()
 
 
 class TestConfigPrecedence:

@@ -8,7 +8,7 @@ from windpdm.dataset import (
     save_dataset,
     stratified_split,
 )
-from windpdm.errors import EmptyDataset
+from windpdm.errors import EmptyDataset, InvalidValue
 from windpdm.ingest import OperationalRecord
 from windpdm.patterns import NORMAL_CLASS, ClassTimeline
 
@@ -54,16 +54,10 @@ class TestLabelRecords:
                 t = int(d.origins[row_i])
                 assert d.labels[row_i] == tl.label_at(t + h * 60)
 
-    def test_horizon_zero_debug_reproduces_timeline(self):
-        rng = np.random.default_rng(5)
-        labels = rng.integers(0, 2, size=20).tolist()
-        tl = timeline(labels)
-        d = label_records(ops(20), PARAMS, FEATURES, tl, 0)
-        assert d.labels.tolist() == labels
-
     def test_invalid_horizon(self):
-        with pytest.raises(ValueError):
-            label_records(ops(10), PARAMS, FEATURES, timeline([0] * 10), 15)
+        for horizon in (15, 0):  # 0, the label at t itself, is not a horizon either
+            with pytest.raises(InvalidValue, match="horizon must be one of"):
+                label_records(ops(10), PARAMS, FEATURES, timeline([0] * 10), horizon)
 
     def test_row_count_invariant(self):
         # rows = operational count - out-of-range drops (missing slots simply

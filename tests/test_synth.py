@@ -118,10 +118,3 @@ class TestSignalKnob:
                             == split.test.labels))
         majority = max(np.bincount(split.test.labels) / split.test.n_rows)
         assert abs(acc - majority) <= 0.05, (acc, majority)
-
-    def test_occupancy_too_high_rejected(self, tmp_path):
-        from windpdm.synth import PlantedPattern
-        cfg = SynthConfig(out_dir=tmp_path / "s", seed=9, n_turbines=1, days=1,
-                          planted=[PlantedPattern(frozenset({"GOverSpMax"}), 0.9)])
-        with pytest.raises(ValueError, match="blocks"):
-            generate(cfg)
