@@ -28,9 +28,15 @@ succeeds ends the backoff. Any other exception, an unwritable sink included,
 stops the agent and names its cause in ``fatal_error``. Both logs append at
 the length acknowledged so far and cut a torn last line on open.
 
-Each turbine's six bundles are scored from one list, built once at start:
-(horizon, forest, the manifest index of each bundle feature), in
-``HORIZONS_MINUTES`` order.
+Each turbine's six horizon forests are compiled at start into one node
+array set (``forest.compile_forests``), in ``HORIZONS_MINUTES`` order, with
+each bundle feature remapped to its column in the manifest's parameters, so
+a parsed record's values are the input row as they stand. A round scores
+each turbine's polled batch, one message or a full backlog batch, with one
+walk of that stack, and renders its notification lines at once. If the walk
+raises, the batch is scored again one record at a time, so the failure stays
+contained to its message. ``/health`` reports each loaded bundle's payload
+sha256 and ``created_at``.
 """
 
 from __future__ import annotations
@@ -41,6 +47,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .broker import Broker, Message
 from .durable import READ_BYTES, append_at, cut_torn_line, iter_lines
 from .errors import (
@@ -50,8 +58,8 @@ from .errors import (
     MissingModel,
     StorageFailure,
 )
-from .forest import RandomForest, predict
-from .ingest import parse_operational_row
+from .forest import CompiledForests, compile_forests, vote_counts
+from .ingest import OperationalRecord, parse_operational_row
 from .manifest import Manifest
 from .model_io import FORMAT_VERSION, ModelBundle, bundle_path, load_model
 from .patterns import HORIZONS_MINUTES
@@ -166,6 +174,17 @@ class NotificationSink:
         return pos, n
 
 
+def _contained(handler, *args):
+    """``handler(*args)``, or the exception it raised: a handler failure is
+    contained to its messages. Storage failures propagate."""
+    try:
+        return handler(*args)
+    except (FatalStorageFailure, StorageFailure):
+        raise
+    except Exception as exc:
+        return exc
+
+
 def load_turbine_bundles(models_dir: Path, turbines: list[str]) -> dict[str, dict[int, ModelBundle]]:
     """All six bundles per turbine; raises MissingModel naming every gap."""
     missing = []
@@ -228,18 +247,24 @@ class MonitoringAgent:
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
 
-        # per turbine: (horizon, forest, feature index into the manifest's parameters)
-        self._scorers: dict[str, list[tuple[int, RandomForest, list[int]]]] = {}
+        # per turbine: its six forests in one array set that reads manifest-ordered rows
+        self._stacks: dict[str, CompiledForests] = {}
+        # per turbine and horizon: which bundle made the predictions
+        self._provenance: dict[str, dict[str, dict]] = {}
         for turbine, per_horizon in models.items():
-            self._scorers[turbine] = scorers = []
+            columns = []
             for h in HORIZONS_MINUTES:
-                bundle = per_horizon[h]
                 try:
-                    index = [manifest.parameters.index(name) for name in bundle.feature_names]
+                    columns.append([manifest.parameters.index(name) for name in per_horizon[h].feature_names])
                 except ValueError as exc:
                     raise MissingModel(
                         f"bundle ({turbine}, {h}) uses a feature missing from the manifest: {exc}")
-                scorers.append((h, bundle.forest, index))
+            self._stacks[turbine] = compile_forests(
+                [per_horizon[h].forest for h in HORIZONS_MINUTES], columns, len(manifest.parameters))
+            self._provenance[turbine] = {
+                str(h): {"sha256": per_horizon[h].sha256,
+                         "created_at": format_rfc3339(per_horizon[h].created_at)}
+                for h in HORIZONS_MINUTES}
         # dedupe index rebuilt from the sink: the sink is the durable record
         self._seen: set[tuple[str, int]] = set()
         for line in iter_lines(sink.path):
@@ -302,6 +327,7 @@ class MonitoringAgent:
             "turbines": sorted(self.models),
             "counters": counters,
             "fatal_error": self.fatal_error,
+            "models": self._provenance,
         }
 
     def _bump(self, key: str, by: int = 1) -> None:
@@ -316,28 +342,63 @@ class MonitoringAgent:
         The caller is responsible for durably appending the returned
         notification to the sink before committing the offset.
         """
-        turbine = msg.topic
+        record = self._parse(msg)
+        if (msg.topic, record.timestamp) in self._seen:
+            return Skip("duplicate")
+        return self.predict_records(msg.topic, [record])[0]
+
+    def _parse(self, msg: Message) -> OperationalRecord:
         try:
-            record = parse_operational_row(
+            return parse_operational_row(
                 msg.payload.decode("utf-8", errors="strict"),
-                self.manifest.parameters, turbine)
+                self.manifest.parameters, msg.topic)
         except (DataError, UnicodeDecodeError) as exc:
             raise MalformedPayload(str(exc)) from exc
-        key = (turbine, record.timestamp)
-        if key in self._seen:
-            return Skip("duplicate")
-        horizons = {}
-        for h, forest, index in self._scorers[turbine]:
-            # predict breaks vote ties to the lowest class index: the winner holds max(votes)
-            class_id, votes = predict(forest, [record.values[i] for i in index])
-            horizons[h] = HorizonPrediction(class_id, max(votes) / forest.n_trees)
-        return PredictionNotification(
-            turbine_id=turbine,
-            t=record.timestamp,
-            horizons=horizons,
-            bundle_version=FORMAT_VERSION,
-            emitted_at=time.time(),
-        )
+
+    def predict_records(self, turbine: str, records: list[OperationalRecord]) -> list[PredictionNotification]:
+        """One notification per record of ``turbine``, all scored with one
+        walk of its stacked forests."""
+        X = np.array([record.values for record in records], dtype=np.float64)
+        winners = []
+        for h, votes in zip(HORIZONS_MINUTES, vote_counts(self._stacks[turbine], X)):
+            # argmax breaks vote ties to the lowest class index; the winner holds max(votes)
+            forest = self.models[turbine][h].forest
+            winners.append((h, forest, votes.argmax(axis=1).tolist(), votes.max(axis=1).tolist()))
+        return [
+            PredictionNotification(
+                turbine_id=turbine,
+                t=record.timestamp,
+                horizons={h: HorizonPrediction(forest.class_ids[best[i]], top[i] / forest.n_trees)
+                          for h, forest, best, top in winners},
+                bundle_version=FORMAT_VERSION,
+                emitted_at=time.time(),
+            )
+            for i, record in enumerate(records)
+        ]
+
+    def _handle(self, msgs: list[Message]) -> list[PredictionNotification | Skip | Exception]:
+        """The outcome of each of one turbine's messages, in order: its
+        notification, a Skip for a record already in the sink, or the
+        exception that failed it. Storage failures propagate."""
+        turbine = msgs[0].topic
+        outcomes = [_contained(self._parse, msg) for msg in msgs]
+        todo = []
+        for i, record in enumerate(outcomes):
+            if isinstance(record, Exception):
+                continue
+            if (turbine, record.timestamp) in self._seen:
+                outcomes[i] = Skip("duplicate")
+            else:
+                todo.append(i)
+        if not todo:
+            return outcomes
+        scored = _contained(self.predict_records, turbine, [outcomes[i] for i in todo])
+        if isinstance(scored, Exception):  # score one record at a time: only the failing ones fail
+            scored = [_contained(self.predict_records, turbine, [outcomes[i]]) for i in todo]
+            scored = [result if isinstance(result, Exception) else result[0] for result in scored]
+        for i, result in zip(todo, scored):
+            outcomes[i] = result
+        return outcomes
 
     def _back_off(self, turbine: str) -> None:
         _, wait = self._backoff.get(turbine, (0.0, BACKOFF_INITIAL))
@@ -371,27 +432,25 @@ class MonitoringAgent:
         lines: list[str] = []
         dead: list[str] = []
         keys: set[tuple[str, int]] = set()
-        for msg in (msg for msgs in polled for msg in msgs):
-            try:
-                result = self.process_message(msg)
-            except (FatalStorageFailure, StorageFailure):
-                raise
-            except Exception as exc:  # contain any handler failure to its message
-                error = str(exc) if isinstance(exc, MalformedPayload) else f"handler failure: {exc!r}"
-                dead.append(json.dumps({
-                    "turbine": msg.topic,
-                    "offset": msg.offset,
-                    "error": error,
-                    "payload": msg.payload.decode("utf-8", errors="replace"),
-                    "quarantined_at": time.time(),
-                }, sort_keys=True))
-                continue
-            # process_message skips earlier rounds' keys (in _seen), this the round's
-            if isinstance(result, Skip) or (msg.topic, result.t) in keys:
-                self._bump("duplicates_skipped")
-                continue
-            keys.add((msg.topic, result.t))
-            lines.append(result.to_json_line())
+        for msgs in polled:
+            # each batch's lines are rendered before the next batch is scored
+            for msg, result in zip(msgs, self._handle(msgs)):
+                if isinstance(result, Exception):
+                    error = str(result) if isinstance(result, MalformedPayload) else f"handler failure: {result!r}"
+                    dead.append(json.dumps({
+                        "turbine": msg.topic,
+                        "offset": msg.offset,
+                        "error": error,
+                        "payload": msg.payload.decode("utf-8", errors="replace"),
+                        "quarantined_at": time.time(),
+                    }, sort_keys=True))
+                    continue
+                # _handle skips earlier rounds' keys (in _seen), this the round's
+                if isinstance(result, Skip) or (msg.topic, result.t) in keys:
+                    self._bump("duplicates_skipped")
+                    continue
+                keys.add((msg.topic, result.t))
+                lines.append(result.to_json_line())
         if dead:
             self.dead_letter.append_lines(dead)
             self._bump("dead_lettered", len(dead))

@@ -15,14 +15,26 @@ Conventions, fixed so independent reimplementations agree:
   with replacement; each tree's rng derives from (seed, tree_index), so
   training is a pure function of (rows, hyperparameters, seed) and trees may
   train concurrently without changing the result.
-* Prediction: each tree votes its leaf's majority class; the forest returns
-  the vote argmax; all ties break to the lowest class id.
+* Prediction: each tree votes its leaf's majority class and the forest
+  returns the vote argmax, all ties breaking to the lowest class id. Scoring
+  runs over compiled arrays: ``compile_forests`` lays the trees of one or
+  more forests out as flat node arrays (``feature``, ``threshold``,
+  ``left``, ``right``, ``leaf_class`` and each tree's root), taking every
+  leaf's class with one argmax per forest; ``vote_counts`` starts every
+  (row, tree) pair at its tree's root, steps the pairs still at an inner
+  node down one level at a time and counts the leaves' classes with one
+  ``bincount``. ``predict``, ``predict_batch`` (and so ``metrics.score``
+  and the grid) and the monitoring agent all score this way, for one row or
+  many. ``DecisionTree.predict_index`` walks one tree in Python; the tests
+  use it as the reference.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -41,15 +53,7 @@ class DecisionTree:
     threshold: list[float]
     left: list[int]
     right: list[int]
-    counts: list[list[int] | None]
-    n_classes: int
-    leaf_class: list[int | None] = field(init=False)
-
-    def __post_init__(self):
-        self.leaf_class = [
-            (int(max(range(self.n_classes), key=lambda c: (cnt[c], -c))) if cnt is not None else None)
-            for cnt in self.counts
-        ]
+    counts: list[list[int] | None]  # per leaf, its rows per class; None at an inner node
 
     def apply(self, x) -> int:
         """Index of the leaf reached by feature vector x."""
@@ -61,7 +65,8 @@ class DecisionTree:
 
     def predict_index(self, x) -> int:
         """Majority class index at the reached leaf (ties to lowest index)."""
-        return self.leaf_class[self.apply(x)]
+        counts = self.counts[self.apply(x)]
+        return counts.index(max(counts))
 
     def depth(self) -> int:
         depths = [0] * len(self.feature)
@@ -188,7 +193,7 @@ def train_tree(
         return i
 
     grow(np.arange(n), 0)
-    return DecisionTree(feature, threshold, left, right, node_counts, n_classes)
+    return DecisionTree(feature, threshold, left, right, node_counts)
 
 
 def default_features_per_split(p: int) -> int:
@@ -238,26 +243,108 @@ def train_forest(
     )
 
 
-def _check_vector(f: RandomForest, x) -> list[float]:
-    if len(x) != f.n_features:
-        raise DimensionMismatch(f"expected {f.n_features} features, got {len(x)}")
-    vec = [float(v) for v in x]
-    for v in vec:
-        if not math.isfinite(v):
-            raise NonFiniteFeature(f"non-finite feature value {v!r}")
-    return vec
+@dataclass(frozen=True, eq=False)
+class CompiledForests:
+    """The trees of one or more forests as flat node arrays, for ``vote_counts``.
+
+    Node indexes are absolute; ``feature`` holds the input column tested at
+    an inner node and LEAF at a leaf, whose ``left`` and ``right`` are never
+    read. ``leaf_class`` is a leaf's column in the vote matrix: its forest's
+    first column plus its majority class index (ties to the lowest).
+    """
+
+    feature: np.ndarray  # int32
+    threshold: np.ndarray  # float64
+    # node indexes are intp: the walk indexes with them at every level, and
+    # numpy converts any other index dtype to intp on each use
+    left: np.ndarray
+    right: np.ndarray
+    leaf_class: np.ndarray  # int32
+    roots: np.ndarray  # one per tree
+    n_features: int  # width of an input row
+    class_counts: tuple[int, ...]  # per forest, its number of classes
+
+
+def compile_forests(
+    forests: Sequence[RandomForest],
+    columns: Sequence[Sequence[int]] | None = None,
+    n_features: int | None = None,
+) -> CompiledForests:
+    """Stack ``forests`` into one node array set, built once per forest.
+
+    ``columns[i][j]`` is the input column that forest i's feature j reads,
+    and ``n_features`` the input width; by default each forest reads its own
+    features, so the forests must share a width.
+    """
+    if columns is None:
+        columns = [range(f.n_features) for f in forests]
+        n_features = forests[0].n_features
+    parts = []
+    offset = first_class = 0
+    for f, cols in zip(forests, columns):
+        sizes = [len(t.feature) for t in f.trees]
+        roots = offset + np.cumsum([0] + sizes, dtype=np.intp)[:-1]
+        shift = np.repeat(roots, sizes)
+
+        def flat(field: str, dtype) -> np.ndarray:
+            return np.fromiter(chain.from_iterable(getattr(t, field) for t in f.trees), dtype, sum(sizes))
+
+        feature = flat("feature", np.int32)
+        # LEAF (-1) picks the appended last entry, so leaves stay LEAF
+        feature = np.append(np.asarray(cols, dtype=np.int32), np.int32(LEAF))[feature]
+        leaf_class = np.zeros(feature.size, dtype=np.int32)
+        leaf_counts = np.array([c for t in f.trees for c in t.counts if c is not None], dtype=np.int64)
+        leaf_class[feature == LEAF] = first_class + leaf_counts.reshape(-1, len(f.class_ids)).argmax(axis=1)
+        parts.append((feature, flat("threshold", np.float64), flat("left", np.intp) + shift,
+                      flat("right", np.intp) + shift, leaf_class, roots))
+        offset += sum(sizes)
+        first_class += len(f.class_ids)
+    feature, threshold, left, right, leaf_class, roots = (np.concatenate(arrays) for arrays in zip(*parts))
+    return CompiledForests(feature, threshold, left, right, leaf_class, roots, n_features,
+                           tuple(len(f.class_ids) for f in forests))
+
+
+def vote_counts(c: CompiledForests, X: np.ndarray) -> list[np.ndarray]:
+    """Per forest of ``c``, an (n_rows, n_classes) int64 matrix of each row's
+    votes. ``X`` must be finite and ``c.n_features`` wide; the callers check."""
+    x = np.ascontiguousarray(X, dtype=np.float64).ravel()
+    n, n_trees, width = x.size // c.n_features, c.roots.size, sum(c.class_counts)
+    pair = np.arange(n * n_trees)  # the (row, tree) pairs still at an inner node
+    node = np.tile(c.roots, n)
+    at = np.repeat(np.arange(0, x.size, c.n_features), n_trees)  # where the pair's row starts in x
+    leaf = np.empty(n * n_trees, dtype=np.intp)
+    while pair.size:
+        f = c.feature[node]
+        inner = f != LEAF
+        if not inner.all():
+            leaf[pair] = node  # final for the pairs at a leaf; the others step on
+            keep = np.flatnonzero(inner)
+            pair, node, at, f = pair[keep], node[keep], at[keep], f[keep]
+        node = np.where(x[at + f] <= c.threshold[node], c.left[node], c.right[node])
+    cells = np.repeat(np.arange(0, n * width, width), n_trees) + c.leaf_class[leaf]
+    counts = np.bincount(cells, minlength=n * width)
+    return np.split(counts.reshape(n, width), np.cumsum(c.class_counts[:-1]), axis=1)
+
+
+def _check_rows(f: RandomForest, X) -> np.ndarray:
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != f.n_features:
+        got = X.shape[-1] if X.ndim else 0
+        raise DimensionMismatch(f"expected {f.n_features} features, got {got}")
+    finite = np.isfinite(X)
+    if not finite.all():
+        v = float(X.flat[int(np.argmin(finite))])
+        raise NonFiniteFeature(f"non-finite feature value {v!r}")
+    return X
 
 
 def predict(f: RandomForest, x) -> tuple[int, list[int]]:
     """(winning class id, votes per class aligned to f.class_ids)."""
-    vec = _check_vector(f, x)
-    votes = [0] * len(f.class_ids)
-    for tree in f.trees:
-        votes[tree.predict_index(vec)] += 1
-    winner = max(range(len(votes)), key=lambda c: (votes[c], -c))
-    return f.class_ids[winner], votes
+    votes = vote_counts(compile_forests([f]), _check_rows(f, [x]))[0][0]
+    return f.class_ids[int(votes.argmax())], votes.tolist()
 
 
 def predict_batch(f: RandomForest, X: np.ndarray) -> np.ndarray:
     """Class ids for each row of X."""
-    return np.asarray([predict(f, row)[0] for row in np.asarray(X, dtype=np.float64)], dtype=np.int64)
+    votes = vote_counts(compile_forests([f]), _check_rows(f, X))[0]
+    return np.asarray(f.class_ids, dtype=np.int64)[votes.argmax(axis=1)]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .durable import atomic_write
@@ -39,6 +39,9 @@ class ModelBundle:
     feature_names: list[str]
     patterns: list[StatusPattern]
     created_at: int  # epoch seconds, supplied by the training plan
+    # hex sha256 of the payload it was read from (the file's trailing
+    # checksum); None for a bundle built in memory
+    sha256: str | None = field(default=None, compare=False)
 
 
 def bundle_path(models_dir: Path, turbine_id: str, horizon_minutes: int) -> Path:
@@ -120,7 +123,6 @@ def deserialize_model(blob: bytes, source: str = "<bytes>") -> ModelBundle:
             left=t["left"],
             right=t["right"],
             counts=t["counts"],
-            n_classes=len(fdoc["class_ids"]),
         )
         for t in fdoc["trees"]
     ]
@@ -145,6 +147,7 @@ def deserialize_model(blob: bytes, source: str = "<bytes>") -> ModelBundle:
         feature_names=doc["feature_names"],
         patterns=patterns,
         created_at=doc["created_at"],
+        sha256=digest.hex(),
     )
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import http.client
 import json
 import os
@@ -156,6 +157,18 @@ class TestProcessMessage:
         # offset committed past the poison message
         assert broker.committed_offset(agent.group, "T1") == 2
 
+    def test_malformed_between_good_messages_of_one_batch(self, rig):
+        agent, broker, _, tmp = rig
+        broker.publish("T1", row_payload(T0, wind_speed=8.0))
+        broker.publish("T1", b"not,a,row")
+        broker.publish("T1", row_payload(T0 + 600, wind_speed=2.0))
+        assert agent.process_available() == 3
+        lines = [json.loads(l) for l in (tmp / "sink" / SINK_FILENAME).read_text().splitlines()]
+        assert [doc["t"] for doc in lines] == [format_rfc3339(T0), format_rfc3339(T0 + 600)]
+        assert [doc["horizons"]["10"]["class"] for doc in lines] == [1, 0]
+        dead = [json.loads(l) for l in (tmp / "sink" / DEAD_LETTER_FILENAME).read_text().splitlines()]
+        assert [(d["offset"], d["error"]) for d in dead] == [(1, "line 0: expected 5 columns, got 3")]
+
     def test_wrong_dimension_payload_dead_lettered(self, rig):
         agent, broker, _, tmp = rig
         broker.publish("T1", f"{format_rfc3339(T0)},1.0,2.0".encode())
@@ -279,16 +292,15 @@ class TestSupervision:
         agent, broker, _, tmp = rig
         broker.publish("T1", row_payload(T0))
         broker.publish("T1", row_payload(T0 + 600))
-        original = agent.process_message
-        blown = []
+        original = agent.predict_records
 
-        def flaky(msg):
-            if msg.offset == 0 and not blown:
-                blown.append(True)
+        def flaky(turbine, records):
+            # the record at offset 0 fails its batch, and alone when rescored
+            if any(record.timestamp == T0 for record in records):
                 raise RuntimeError("injected handler panic")
-            return original(msg)
+            return original(turbine, records)
 
-        agent.process_message = flaky
+        agent.predict_records = flaky
         agent.process_available()
         sink_lines = (tmp / "sink" / SINK_FILENAME).read_text().splitlines()
         assert len(sink_lines) == 1  # second message processed
@@ -575,6 +587,19 @@ class TestEndpoint:
         assert got == list(iter_lines(agent.sink.path))
         for w, lines in per_writer.items():
             assert [x for x in got if x.startswith(f"w{w}-")] == lines
+
+    def test_health_reports_each_bundle_provenance(self, rig):
+        agent, _, _, tmp = rig
+        models = json.loads(json.dumps(agent.health()))["models"]
+        assert sorted(models) == ["T1", "T2"]
+        for turbine, per_horizon in models.items():
+            assert sorted(per_horizon, key=int) == [str(h) for h in HORIZONS_MINUTES]
+            for h, provenance in per_horizon.items():
+                blob = bundle_path(tmp / "models", turbine, int(h)).read_bytes()
+                # the payload's sha256 is the file's last 32 bytes
+                assert provenance == {"sha256": hashlib.sha256(blob[16:-32]).hexdigest(),
+                                      "created_at": format_rfc3339(T0)}
+                assert blob[-32:].hex() == provenance["sha256"]
 
     def test_unknown_path_404(self, rig):
         agent, _, _, _ = rig

@@ -4,6 +4,10 @@ import pytest
 from windpdm.errors import DimensionMismatch, EmptyInput, NonFiniteFeature
 from windpdm.forest import (
     LEAF,
+    DecisionTree,
+    RandomForest,
+    compile_forests,
+    vote_counts,
     default_features_per_split,
     predict,
     predict_batch,
@@ -203,3 +207,98 @@ class TestPredict:
         forest, _ = self._forest(8)
         with pytest.raises(NonFiniteFeature):
             predict(forest, [1.0, float("nan"), 0.0, 2.0])
+
+
+def leaf_tree(counts):
+    return DecisionTree([LEAF], [0.0], [LEAF], [LEAF], [list(counts)])
+
+
+def chain_tree(depth, n_classes):
+    """A tree of ``depth`` inner nodes on feature 0 in a chain: x0 <= i goes
+    left to a leaf of class i % n_classes, else down the chain."""
+    feature, threshold, left, right, counts = [], [], [], [], []
+    for i in range(depth):
+        node = len(feature)
+        feature += [0, LEAF]
+        threshold += [float(i), 0.0]
+        left += [node + 1, LEAF]
+        right += [node + 2, LEAF]
+        counts += [None, [int(c == i % n_classes) for c in range(n_classes)]]
+    feature.append(LEAF)
+    threshold.append(0.0)
+    left.append(LEAF)
+    right.append(LEAF)
+    counts.append([1] * n_classes)  # a tie at the leaf: the lowest class wins
+    return DecisionTree(feature, threshold, left, right, counts)
+
+
+def hand_forest(trees, class_ids, n_features):
+    return RandomForest(trees=trees, n_trees=len(trees), max_depth=25, features_per_split=1,
+                        class_ids=class_ids, seed=0, n_features=n_features)
+
+
+class TestCompiledWalk:
+    """The compiled walk against a recount through each tree's own walk."""
+
+    @staticmethod
+    def recount(forest, X):
+        votes = np.zeros((len(X), len(forest.class_ids)), dtype=np.int64)
+        for r, x in enumerate(X):
+            for tree in forest.trees:
+                votes[r, tree.predict_index(x.tolist())] += 1
+        return votes
+
+    @pytest.mark.parametrize("n_classes", [2, 3, 4])
+    def test_votes_equal_per_tree_recount(self, n_classes):
+        rng = np.random.default_rng(n_classes)
+        X = rng.normal(size=(300, 3))
+        y = rng.integers(0, n_classes, size=300)  # noise: trees grow deep
+        trained = train_forest(X, y, list(range(n_classes)), n_trees=6, max_depth=25, seed=n_classes)
+        trees = trained.trees + [chain_tree(25, n_classes), leaf_tree([1] + [0] * (n_classes - 1)),
+                                 leaf_tree([0] * (n_classes - 1) + [2])]
+        forest = hand_forest(trees, list(range(10, 10 + n_classes)), 3)
+        assert max(t.depth() for t in forest.trees) == 25
+        compiled = compile_forests([forest])
+        queries = np.vstack([rng.normal(size=(257, 3)), np.arange(-1.0, 26.0)[:, None].repeat(3, axis=1)])
+        for n in (1, 2, 257, len(queries)):
+            votes = vote_counts(compiled, queries[:n])
+            assert len(votes) == 1
+            assert votes[0].tolist() == self.recount(forest, queries[:n]).tolist()
+
+    def test_zero_rows(self):
+        forest = hand_forest([leaf_tree([0, 1])], [0, 1], 2)
+        assert vote_counts(compile_forests([forest]), np.empty((0, 2)))[0].shape == (0, 2)
+        assert predict_batch(forest, np.empty((0, 2))).tolist() == []
+
+    def test_six_forest_stack_equals_six_predicts(self):
+        """Six forests over different columns of one wider row, stacked with
+        remapped feature indexes, give each forest's own votes and winner."""
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(200, 5))
+        columns = [[0, 1], [4, 2, 0], [3], [1, 3], [2, 4, 1, 0], [4]]
+        forests = []
+        for i, cols in enumerate(columns):
+            n_classes = 2 + i % 3
+            y = (X[:, cols[0]] > 0).astype(np.int64) + rng.integers(0, n_classes - 1, size=200)
+            forests.append(train_forest(X[:, cols], y, list(range(n_classes)), n_trees=5, max_depth=8, seed=i))
+        # a forest of two trees whose votes tie 1-1 on every row: the lowest class wins
+        forests.append(hand_forest([leaf_tree([0, 0, 3]), leaf_tree([0, 3, 0])], [5, 6, 7], 1))
+        columns.append([2])
+        stack = compile_forests(forests, columns, 5)
+        rows = rng.normal(size=(33, 5))
+        for n in (1, 2, 33):
+            votes = vote_counts(stack, rows[:n])
+            assert len(votes) == len(forests)
+            for forest, cols, v in zip(forests, columns, votes):
+                for r in range(n):
+                    label, expected = predict(forest, rows[r, cols])
+                    assert v[r].tolist() == expected
+                    assert forest.class_ids[int(v[r].argmax())] == label
+        assert predict(forests[-1], [0.0]) == (6, [0, 1, 1])
+
+    def test_predict_batch_checks_rows(self):
+        forest = hand_forest([leaf_tree([0, 1])], [0, 1], 2)
+        with pytest.raises(DimensionMismatch):
+            predict_batch(forest, np.zeros((3, 3)))
+        with pytest.raises(NonFiniteFeature, match="inf"):
+            predict_batch(forest, np.array([[0.0, 1.0], [np.inf, np.nan]]))

@@ -40,6 +40,12 @@ class TestRoundTrip:
         loaded = load_model(path)
         assert loaded == bundle
 
+    def test_loaded_bundle_keeps_its_payload_sha256(self, bundle, tmp_path):
+        path = tmp_path / "m.model"
+        save_model(bundle, path)
+        assert bundle.sha256 is None
+        assert load_model(path).sha256 == path.read_bytes()[-32:].hex()
+
     def test_identical_predictions_on_random_inputs(self, bundle, tmp_path):
         path = tmp_path / "m.model"
         save_model(bundle, path)
