@@ -1,8 +1,9 @@
 """Online monitoring agent.
 
-Loads all six horizon bundles per monitored turbine into memory, consumes
-each turbine's telemetry topic, and appends one six-horizon prediction
-notification per operational record to a durable sink.
+Loads all six horizon bundles per monitored turbine, keeps them compiled
+into node arrays (below), consumes each turbine's telemetry topic, and
+appends one six-horizon prediction notification per operational record to a
+durable sink.
 
 Exactly-once notifications on top of at-least-once delivery:
 
@@ -31,7 +32,9 @@ the length acknowledged so far and cut a torn last line on open.
 Each turbine's six horizon forests are compiled at start into one node
 array set (``forest.compile_forests``), in ``HORIZONS_MINUTES`` order, with
 each bundle feature remapped to its column in the manifest's parameters, so
-a parsed record's values are the input row as they stand. A round scores
+a parsed record's values are the input row as they stand. The agent keeps
+these arrays and each bundle's provenance (``TurbineModels``), not the
+bundles: their trees are freed before the sink is re-read. A round scores
 each turbine's polled batch, one message or a full backlog batch, with one
 walk of that stack, and renders its notification lines at once. If the walk
 raises, the batch is scored again one record at a time, so the failure stays
@@ -209,13 +212,36 @@ def load_turbine_bundles(models_dir: Path, turbines: list[str]) -> dict[str, dic
     return loaded
 
 
+@dataclass(frozen=True)
+class TurbineModels:
+    """What the agent keeps of a turbine's six horizon bundles: their forests
+    compiled into one stack that reads manifest-ordered rows, and each
+    bundle's provenance (``sha256``, ``created_at``) by horizon."""
+
+    stack: CompiledForests
+    provenance: dict[str, dict[str, str]]
+
+
+def compile_turbine(turbine: str, per_horizon: dict[int, ModelBundle], manifest: Manifest) -> TurbineModels:
+    columns = []
+    for h in HORIZONS_MINUTES:
+        try:
+            columns.append([manifest.parameters.index(name) for name in per_horizon[h].feature_names])
+        except ValueError as exc:
+            raise MissingModel(f"bundle ({turbine}, {h}) uses a feature missing from the manifest: {exc}")
+    return TurbineModels(
+        compile_forests([per_horizon[h].forest for h in HORIZONS_MINUTES], columns, len(manifest.parameters)),
+        {str(h): {"sha256": per_horizon[h].sha256, "created_at": format_rfc3339(per_horizon[h].created_at)}
+         for h in HORIZONS_MINUTES})
+
+
 class MonitoringAgent:
     """Consumes turbine topics and emits per-record prediction notifications."""
 
     def __init__(
         self,
         broker: Broker,
-        models: dict[str, dict[int, ModelBundle]],
+        models: dict[str, TurbineModels],
         manifest: Manifest,
         sink: NotificationSink,
         dead_letter: NotificationSink,
@@ -224,7 +250,8 @@ class MonitoringAgent:
         idle_poll_interval: float = 0.02,
     ):
         self.broker = broker
-        self.models = models
+        self.turbines = sorted(models)
+        self._models = models
         self.manifest = manifest
         self.sink = sink
         self.dead_letter = dead_letter
@@ -247,24 +274,6 @@ class MonitoringAgent:
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
 
-        # per turbine: its six forests in one array set that reads manifest-ordered rows
-        self._stacks: dict[str, CompiledForests] = {}
-        # per turbine and horizon: which bundle made the predictions
-        self._provenance: dict[str, dict[str, dict]] = {}
-        for turbine, per_horizon in models.items():
-            columns = []
-            for h in HORIZONS_MINUTES:
-                try:
-                    columns.append([manifest.parameters.index(name) for name in per_horizon[h].feature_names])
-                except ValueError as exc:
-                    raise MissingModel(
-                        f"bundle ({turbine}, {h}) uses a feature missing from the manifest: {exc}")
-            self._stacks[turbine] = compile_forests(
-                [per_horizon[h].forest for h in HORIZONS_MINUTES], columns, len(manifest.parameters))
-            self._provenance[turbine] = {
-                str(h): {"sha256": per_horizon[h].sha256,
-                         "created_at": format_rfc3339(per_horizon[h].created_at)}
-                for h in HORIZONS_MINUTES}
         # dedupe index rebuilt from the sink: the sink is the durable record
         self._seen: set[tuple[str, int]] = set()
         for line in iter_lines(sink.path):
@@ -293,16 +302,19 @@ class MonitoringAgent:
         whole start; ``allow_partial`` drops incomplete turbines instead.
         """
         if allow_partial:
-            models = {}
+            bundles = {}
             for turbine in turbines:
                 try:
-                    models.update(load_turbine_bundles(models_dir, [turbine]))
+                    bundles.update(load_turbine_bundles(models_dir, [turbine]))
                 except MissingModel:
                     continue
-            if not models:
+            if not bundles:
                 raise MissingModel(f"no turbine in {turbines} has all horizon bundles")
         else:
-            models = load_turbine_bundles(models_dir, turbines)
+            bundles = load_turbine_bundles(models_dir, turbines)
+        # each turbine's bundles are dropped once compiled, so their trees
+        # are freed before the agent re-reads the sink
+        models = {turbine: compile_turbine(turbine, bundles.pop(turbine), manifest) for turbine in list(bundles)}
         sink_dir = Path(sink_dir)
         sink = NotificationSink(sink_dir / SINK_FILENAME)
         dead_letter = NotificationSink(sink_dir / DEAD_LETTER_FILENAME)
@@ -324,10 +336,10 @@ class MonitoringAgent:
             counters = dict(self.counters)
         return {
             "status": self.status,
-            "turbines": sorted(self.models),
+            "turbines": list(self.turbines),
             "counters": counters,
             "fatal_error": self.fatal_error,
-            "models": self._provenance,
+            "models": {turbine: self._models[turbine].provenance for turbine in self.turbines},
         }
 
     def _bump(self, key: str, by: int = 1) -> None:
@@ -358,18 +370,19 @@ class MonitoringAgent:
     def predict_records(self, turbine: str, records: list[OperationalRecord]) -> list[PredictionNotification]:
         """One notification per record of ``turbine``, all scored with one
         walk of its stacked forests."""
+        stack = self._models[turbine].stack
         X = np.array([record.values for record in records], dtype=np.float64)
         winners = []
-        for h, votes in zip(HORIZONS_MINUTES, vote_counts(self._stacks[turbine], X)):
+        for h, class_ids, n_trees, votes in zip(HORIZONS_MINUTES, stack.class_ids, stack.n_trees,
+                                                vote_counts(stack, X)):
             # argmax breaks vote ties to the lowest class index; the winner holds max(votes)
-            forest = self.models[turbine][h].forest
-            winners.append((h, forest, votes.argmax(axis=1).tolist(), votes.max(axis=1).tolist()))
+            winners.append((h, class_ids, n_trees, votes.argmax(axis=1).tolist(), votes.max(axis=1).tolist()))
         return [
             PredictionNotification(
                 turbine_id=turbine,
                 t=record.timestamp,
-                horizons={h: HorizonPrediction(forest.class_ids[best[i]], top[i] / forest.n_trees)
-                          for h, forest, best, top in winners},
+                horizons={h: HorizonPrediction(class_ids[best[i]], top[i] / n_trees)
+                          for h, class_ids, n_trees, best, top in winners},
                 bundle_version=FORMAT_VERSION,
                 emitted_at=time.time(),
             )
@@ -413,7 +426,7 @@ class MonitoringAgent:
         StorageFailure backs off the turbine it came from, or all of the
         round's if the commit raised it; anything else propagates."""
         polled: list[list[Message]] = []
-        for turbine in sorted(self.models):
+        for turbine in self.turbines:
             if self._stop.is_set():
                 break
             if turbine in self._backoff and time.monotonic() < self._backoff[turbine][0]:

@@ -262,7 +262,8 @@ class CompiledForests:
     leaf_class: np.ndarray  # int32
     roots: np.ndarray  # one per tree
     n_features: int  # width of an input row
-    class_counts: tuple[int, ...]  # per forest, its number of classes
+    class_ids: tuple[list[int], ...]  # per forest
+    n_trees: tuple[int, ...]  # per forest
 
 
 def compile_forests(
@@ -301,14 +302,15 @@ def compile_forests(
         first_class += len(f.class_ids)
     feature, threshold, left, right, leaf_class, roots = (np.concatenate(arrays) for arrays in zip(*parts))
     return CompiledForests(feature, threshold, left, right, leaf_class, roots, n_features,
-                           tuple(len(f.class_ids) for f in forests))
+                           tuple(f.class_ids for f in forests), tuple(f.n_trees for f in forests))
 
 
 def vote_counts(c: CompiledForests, X: np.ndarray) -> list[np.ndarray]:
     """Per forest of ``c``, an (n_rows, n_classes) int64 matrix of each row's
     votes. ``X`` must be finite and ``c.n_features`` wide; the callers check."""
     x = np.ascontiguousarray(X, dtype=np.float64).ravel()
-    n, n_trees, width = x.size // c.n_features, c.roots.size, sum(c.class_counts)
+    widths = [len(ids) for ids in c.class_ids]
+    n, n_trees, width = x.size // c.n_features, c.roots.size, sum(widths)
     pair = np.arange(n * n_trees)  # the (row, tree) pairs still at an inner node
     node = np.tile(c.roots, n)
     at = np.repeat(np.arange(0, x.size, c.n_features), n_trees)  # where the pair's row starts in x
@@ -323,7 +325,7 @@ def vote_counts(c: CompiledForests, X: np.ndarray) -> list[np.ndarray]:
         node = np.where(x[at + f] <= c.threshold[node], c.left[node], c.right[node])
     cells = np.repeat(np.arange(0, n * width, width), n_trees) + c.leaf_class[leaf]
     counts = np.bincount(cells, minlength=n * width)
-    return np.split(counts.reshape(n, width), np.cumsum(c.class_counts[:-1]), axis=1)
+    return np.split(counts.reshape(n, width), np.cumsum(widths[:-1]), axis=1)
 
 
 def _check_rows(f: RandomForest, X) -> np.ndarray:

@@ -94,10 +94,10 @@ class TestStart:
     def test_two_turbines_six_bundles_ready(self, rig):
         agent, broker, _, _ = rig
         assert agent.status == READY
-        assert sorted(agent.models) == ["T1", "T2"]
+        assert agent.turbines == ["T1", "T2"]
         assert broker.topics() == ["T1", "T2"]
-        for per_horizon in agent.models.values():
-            assert sorted(per_horizon) == list(HORIZONS_MINUTES)
+        for per_horizon in agent.health()["models"].values():
+            assert sorted(map(int, per_horizon)) == list(HORIZONS_MINUTES)
 
     def test_missing_bundle_names_the_gap(self, tmp_path, manifest):
         models_dir = tmp_path / "m"
@@ -113,7 +113,7 @@ class TestStart:
         broker = Broker(tmp_path / "broker")
         agent = MonitoringAgent.start(models_dir, broker, list(manifest.turbines),
                                       tmp_path / "sink", manifest, allow_partial=True)
-        assert sorted(agent.models) == ["T2"]
+        assert agent.turbines == ["T2"]
 
 
 class TestProcessMessage:

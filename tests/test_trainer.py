@@ -144,7 +144,7 @@ class TestCrashDuringRetrain:
         agent = MonitoringAgent.start(
             out / "models", Broker(tmp_path / "broker"), ["T01"], tmp_path / "sink",
             TurbineStore.open(cfg.out_dir).manifest)
-        assert sorted(agent.models["T01"]) == sorted(HORIZONS_MINUTES)
+        assert sorted(map(int, agent.health()["models"]["T01"])) == sorted(HORIZONS_MINUTES)
         got = {m: (out / m).read_bytes() for m in models}
         assert all(got[m] in (old[m], new[m]) for m in models)
         replaced = nth if stage == "after_replace" else nth - 1
