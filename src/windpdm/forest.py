@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -248,9 +249,10 @@ class CompiledForests:
     """The trees of one or more forests as flat node arrays, for ``vote_counts``.
 
     Node indexes are absolute; ``feature`` holds the input column tested at
-    an inner node and LEAF at a leaf, whose ``left`` and ``right`` are never
-    read. ``leaf_class`` is a leaf's column in the vote matrix: its forest's
-    first column plus its majority class index (ties to the lowest).
+    an inner node and LEAF at a leaf. A leaf's ``left`` and ``right`` are
+    the leaf itself, so a pair that steps from a leaf stays there.
+    ``leaf_class`` is a leaf's column in the vote matrix: its forest's first
+    column plus its majority class index (ties to the lowest).
     """
 
     feature: np.ndarray  # int32
@@ -285,20 +287,25 @@ def compile_forests(
     for f, cols in zip(forests, columns):
         sizes = [len(t.feature) for t in f.trees]
         roots = offset + np.cumsum([0] + sizes, dtype=np.intp)[:-1]
-        shift = np.repeat(roots, sizes)
+        node = np.arange(offset, offset + sum(sizes))
+        shift = np.repeat(roots, sizes)  # a tree's node i is node root + i of the set
 
         def flat(field: str, dtype) -> np.ndarray:
-            return np.fromiter(chain.from_iterable(getattr(t, field) for t in f.trees), dtype, sum(sizes))
+            return np.fromiter(chain.from_iterable(map(attrgetter(field), f.trees)), dtype, node.size)
 
         feature = flat("feature", np.int32)
         # LEAF (-1) picks the appended last entry, so leaves stay LEAF
         feature = np.append(np.asarray(cols, dtype=np.int32), np.int32(LEAF))[feature]
+        # the leaves' class counts in node order; an inner node's are None
+        counts = filter(None, chain.from_iterable(map(attrgetter("counts"), f.trees)))
+        leaf_counts = np.fromiter(chain.from_iterable(counts), np.int64).reshape(-1, len(f.class_ids))
+        at_leaf = feature == LEAF
         leaf_class = np.zeros(feature.size, dtype=np.int32)
-        leaf_counts = np.array([c for t in f.trees for c in t.counts if c is not None], dtype=np.int64)
-        leaf_class[feature == LEAF] = first_class + leaf_counts.reshape(-1, len(f.class_ids)).argmax(axis=1)
-        parts.append((feature, flat("threshold", np.float64), flat("left", np.intp) + shift,
-                      flat("right", np.intp) + shift, leaf_class, roots))
-        offset += sum(sizes)
+        leaf_class[at_leaf] = first_class + leaf_counts.argmax(axis=1)
+        left = np.where(at_leaf, node, flat("left", np.intp) + shift)
+        right = np.where(at_leaf, node, flat("right", np.intp) + shift)
+        parts.append((feature, flat("threshold", np.float64), left, right, leaf_class, roots))
+        offset += node.size
         first_class += len(f.class_ids)
     feature, threshold, left, right, leaf_class, roots = (np.concatenate(arrays) for arrays in zip(*parts))
     return CompiledForests(feature, threshold, left, right, leaf_class, roots, n_features,
@@ -311,14 +318,17 @@ def vote_counts(c: CompiledForests, X: np.ndarray) -> list[np.ndarray]:
     x = np.ascontiguousarray(X, dtype=np.float64).ravel()
     widths = [len(ids) for ids in c.class_ids]
     n, n_trees, width = x.size // c.n_features, c.roots.size, sum(widths)
-    pair = np.arange(n * n_trees)  # the (row, tree) pairs still at an inner node
+    pair = np.arange(n * n_trees)  # the (row, tree) pairs still stepping
     node = np.tile(c.roots, n)
     at = np.repeat(np.arange(0, x.size, c.n_features), n_trees)  # where the pair's row starts in x
     leaf = np.empty(n * n_trees, dtype=np.intp)
     while pair.size:
         f = c.feature[node]
         inner = f != LEAF
-        if not inner.all():
+        # drop the pairs at a leaf once they are half of those stepping; until
+        # then they step in place (a leaf's children are itself; its LEAF
+        # feature reads x[at - 1], a valid index, for a test it ignores)
+        if 2 * np.count_nonzero(inner) <= inner.size:
             leaf[pair] = node  # final for the pairs at a leaf; the others step on
             keep = np.flatnonzero(inner)
             pair, node, at, f = pair[keep], node[keep], at[keep], f[keep]
@@ -331,7 +341,7 @@ def vote_counts(c: CompiledForests, X: np.ndarray) -> list[np.ndarray]:
 def _check_rows(f: RandomForest, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != f.n_features:
-        got = X.shape[-1] if X.ndim else 0
+        got = X.shape[1] if X.ndim == 2 else f"an array of shape {X.shape}"
         raise DimensionMismatch(f"expected {f.n_features} features, got {got}")
     finite = np.isfinite(X)
     if not finite.all():

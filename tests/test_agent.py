@@ -107,6 +107,14 @@ class TestStart:
             MonitoringAgent.start(models_dir, broker, list(manifest.turbines),
                                   tmp_path / "sink", manifest)
 
+    def test_bundle_feature_missing_from_manifest_refuses_start(self, tmp_path, manifest):
+        make_models(tmp_path / "m", manifest.turbines)
+        narrow = Manifest(parameters=["wind_speed", "rotor_rpm", "gen_temp"],
+                          alarms=manifest.alarms, turbines=manifest.turbines)
+        with pytest.raises(MissingModel, match=r"bundle \(T1, 10\) uses a feature missing.*power_kw"):
+            MonitoringAgent.start(tmp_path / "m", Broker(tmp_path / "broker"), list(manifest.turbines),
+                                  tmp_path / "sink", narrow)
+
     def test_allow_partial_drops_incomplete_turbine(self, tmp_path, manifest):
         models_dir = tmp_path / "m"
         make_models(models_dir, manifest.turbines, skip={("T1", 30)})
