@@ -223,6 +223,8 @@ class TurbineModels:
 
 
 def compile_turbine(turbine: str, per_horizon: dict[int, ModelBundle], manifest: Manifest) -> TurbineModels:
+    """Compile a turbine's six bundles to read manifest-ordered rows; raises
+    MissingModel if a bundle feature is not a manifest parameter."""
     columns = []
     for h in HORIZONS_MINUTES:
         try:

@@ -276,8 +276,9 @@ def compile_forests(
     """Stack ``forests`` into one node array set, built once per forest.
 
     ``columns[i][j]`` is the input column that forest i's feature j reads,
-    and ``n_features`` the input width; by default each forest reads its own
-    features, so the forests must share a width.
+    and ``n_features`` (required with ``columns``) the input width; by
+    default each forest reads its own features, so the forests must share a
+    width.
     """
     if columns is None:
         columns = [range(f.n_features) for f in forests]
