@@ -373,7 +373,8 @@ class MonitoringAgent:
         """One notification per record of ``turbine``, all scored with one
         walk of its stacked forests."""
         stack = self._models[turbine].stack
-        X = np.array([record.values for record in records], dtype=np.float64)
+        # a record of another width raises here instead of misreading the rows
+        X = np.array([record.values for record in records], dtype=np.float64).reshape(len(records), stack.n_features)
         winners = []
         for h, class_ids, n_trees, votes in zip(HORIZONS_MINUTES, stack.class_ids, stack.n_trees,
                                                 vote_counts(stack, X)):

@@ -26,6 +26,7 @@ from windpdm.durable import iter_lines
 from windpdm.endpoint import AgentEndpoint
 from windpdm.errors import FatalStorageFailure, MissingModel, StorageFailure
 from windpdm.forest import predict, train_forest
+from windpdm.ingest import OperationalRecord
 from windpdm.manifest import Manifest
 from windpdm.model_io import ModelBundle, save_model
 from windpdm.patterns import HORIZONS_MINUTES, StatusPattern
@@ -140,6 +141,12 @@ class TestProcessMessage:
             assert p.vote_fraction == votes[
                 bundles[("T1", h)].forest.class_ids.index(expected_class)] / 3
             assert 0.0 <= p.vote_fraction <= 1.0
+
+    def test_predict_records_checks_row_width(self, rig):
+        agent, _, _, _ = rig
+        assert agent.predict_records("T1", []) == []
+        with pytest.raises(ValueError):  # the manifest has 4 parameters
+            agent.predict_records("T1", [OperationalRecord("T1", T0, (8.5, 3.0))])
 
     def test_duplicate_is_skipped(self, rig):
         agent, broker, _, tmp = rig
