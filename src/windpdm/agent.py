@@ -1,16 +1,19 @@
 """Online monitoring agent.
 
-Loads all six horizon bundles per monitored turbine, keeps them compiled
-into node arrays (below), consumes each turbine's telemetry topic, and
-appends one six-horizon prediction notification per operational record to a
-durable sink.
+Loads and compiles the six horizon bundles of each monitored turbine, one
+turbine at a time, then opens the sinks, rebuilds the dedupe index from the
+sink and subscribes to every turbine's telemetry topic. It appends one
+six-horizon prediction notification per operational record to a durable
+sink.
 
 Exactly-once notifications on top of at-least-once delivery:
 
 * the sink itself is the durable dedupe record. Notifications are appended
   (and fsynced) BEFORE the offset commit, and the in-memory (turbine, t)
-  index is rebuilt from the sink on start, so a crash between append and
-  commit makes the redelivered message a Skip, never a duplicate line.
+  index is rebuilt from the sink on start. A record whose (turbine, t) is
+  in that index, or earlier in its own polled batch, is a duplicate: it is
+  counted and skipped, so a crash between append and commit never makes a
+  duplicate line.
 * malformed payloads are quarantined to a dead-letter log and their offset
   committed; the stream keeps flowing.
 
@@ -34,12 +37,14 @@ array set (``forest.compile_forests``), in ``HORIZONS_MINUTES`` order, with
 each bundle feature remapped to its column in the manifest's parameters, so
 a parsed record's values are the input row as they stand. The agent keeps
 these arrays and each bundle's provenance (``TurbineModels``), not the
-bundles: their trees are freed before the sink is re-read. A round scores
-each turbine's polled batch, one message or a full backlog batch, with one
-walk of that stack, and renders its notification lines at once. If the walk
-raises, the batch is scored again one record at a time, so the failure stays
-contained to its message. ``/health`` reports each loaded bundle's payload
-sha256 and ``created_at``.
+bundles: at most one turbine's trees are alive at a time, and none once the
+sink is re-read. A turbine whose bundles cannot be loaded or compiled is a
+gap; any gap refuses the start unless ``allow_partial`` drops the turbine.
+A round scores each turbine's polled batch, one message or a full backlog
+batch, with one walk of that stack, and renders its notification lines at
+once. If the walk raises, the batch is scored again one record at a time, so
+the failure stays contained to its message. ``/health`` reports each loaded
+bundle's payload sha256 and ``created_at``.
 """
 
 from __future__ import annotations
@@ -107,11 +112,6 @@ class PredictionNotification:
             },
             sort_keys=True,
         )
-
-
-@dataclass(frozen=True)
-class Skip:
-    reason: str  # only "duplicate": a message that fails is dead-lettered, not skipped
 
 
 class NotificationSink:
@@ -188,28 +188,25 @@ def _contained(handler, *args):
         return exc
 
 
-def load_turbine_bundles(models_dir: Path, turbines: list[str]) -> dict[str, dict[int, ModelBundle]]:
-    """All six bundles per turbine; raises MissingModel naming every gap."""
+def load_turbine_bundles(models_dir: Path, turbine: str) -> dict[int, ModelBundle]:
+    """A turbine's six bundles by horizon; raises MissingModel naming every
+    gap, or the first bundle that holds another turbine or horizon."""
     missing = []
-    loaded: dict[str, dict[int, ModelBundle]] = {}
-    for turbine in turbines:
-        per_horizon = {}
-        for h in HORIZONS_MINUTES:
-            path = bundle_path(models_dir, turbine, h)
-            if not path.exists():
-                missing.append((turbine, h))
-                continue
-            bundle = load_model(path)
-            if bundle.turbine_id != turbine or bundle.horizon_minutes != h:
-                raise MissingModel(
-                    f"{path} holds turbine {bundle.turbine_id!r} horizon {bundle.horizon_minutes}, "
-                    f"expected {turbine!r} horizon {h}")
-            per_horizon[h] = bundle
-        loaded[turbine] = per_horizon
+    per_horizon = {}
+    for h in HORIZONS_MINUTES:
+        path = bundle_path(models_dir, turbine, h)
+        if not path.exists():
+            missing.append(f"({turbine}, {h})")
+            continue
+        bundle = load_model(path)
+        if bundle.turbine_id != turbine or bundle.horizon_minutes != h:
+            raise MissingModel(
+                f"{path} holds turbine {bundle.turbine_id!r} horizon {bundle.horizon_minutes}, "
+                f"expected {turbine!r} horizon {h}")
+        per_horizon[h] = bundle
     if missing:
-        gaps = ", ".join(f"({t}, {h})" for t, h in missing)
-        raise MissingModel(f"missing model bundles: {gaps}")
-    return loaded
+        raise MissingModel(f"missing model bundles: {', '.join(missing)}")
+    return per_horizon
 
 
 @dataclass(frozen=True)
@@ -298,25 +295,24 @@ class MonitoringAgent:
         allow_partial: bool = False,
         **kwargs,
     ) -> "MonitoringAgent":
-        """Load bundles, subscribe to every turbine topic, report Ready.
+        """Load and compile each turbine's bundles, subscribe to every turbine
+        topic, report Ready.
 
-        By default a single missing (turbine, horizon) bundle refuses the
-        whole start; ``allow_partial`` drops incomplete turbines instead.
+        A turbine whose bundles are missing, mislabelled or read a feature
+        the manifest lacks is a gap. By default any gap refuses the whole
+        start, with one MissingModel naming every gap; ``allow_partial``
+        drops those turbines instead, unless no turbine is left.
         """
-        if allow_partial:
-            bundles = {}
-            for turbine in turbines:
-                try:
-                    bundles.update(load_turbine_bundles(models_dir, [turbine]))
-                except MissingModel:
-                    continue
-            if not bundles:
-                raise MissingModel(f"no turbine in {turbines} has all horizon bundles")
-        else:
-            bundles = load_turbine_bundles(models_dir, turbines)
-        # each turbine's bundles are dropped once compiled, so their trees
-        # are freed before the agent re-reads the sink
-        models = {turbine: compile_turbine(turbine, bundles.pop(turbine), manifest) for turbine in list(bundles)}
+        models = {}
+        gaps = []
+        for turbine in turbines:
+            # one turbine's bundles at a time: their trees are freed once compiled
+            try:
+                models[turbine] = compile_turbine(turbine, load_turbine_bundles(models_dir, turbine), manifest)
+            except MissingModel as exc:
+                gaps.append(str(exc))
+        if gaps and not (allow_partial and models):
+            raise MissingModel("; ".join(gaps))
         sink_dir = Path(sink_dir)
         sink = NotificationSink(sink_dir / SINK_FILENAME)
         dead_letter = NotificationSink(sink_dir / DEAD_LETTER_FILENAME)
@@ -350,17 +346,6 @@ class MonitoringAgent:
 
     # -- message processing -------------------------------------------------------
 
-    def process_message(self, msg: Message) -> PredictionNotification | Skip:
-        """Predict all six horizons for one record; Skip duplicates.
-
-        The caller is responsible for durably appending the returned
-        notification to the sink before committing the offset.
-        """
-        record = self._parse(msg)
-        if (msg.topic, record.timestamp) in self._seen:
-            return Skip("duplicate")
-        return self.predict_records(msg.topic, [record])[0]
-
     def _parse(self, msg: Message) -> OperationalRecord:
         try:
             return parse_operational_row(
@@ -392,22 +377,23 @@ class MonitoringAgent:
             for i, record in enumerate(records)
         ]
 
-    def _handle(self, msgs: list[Message]) -> list[PredictionNotification | Skip | Exception]:
+    def _handle(self, msgs: list[Message]) -> list[PredictionNotification | Exception | None]:
         """The outcome of each of one turbine's messages, in order: its
-        notification, a Skip for a record already in the sink, or the
-        exception that failed it. Storage failures propagate."""
+        notification, the exception that failed it, or None for a duplicate,
+        a record already in the sink or earlier in ``msgs``. Storage failures
+        propagate."""
         turbine = msgs[0].topic
         outcomes = [_contained(self._parse, msg) for msg in msgs]
         todo = []
+        batch: set[int] = set()
         for i, record in enumerate(outcomes):
             if isinstance(record, Exception):
                 continue
-            if (turbine, record.timestamp) in self._seen:
-                outcomes[i] = Skip("duplicate")
+            if (turbine, record.timestamp) in self._seen or record.timestamp in batch:
+                outcomes[i] = None
             else:
+                batch.add(record.timestamp)
                 todo.append(i)
-        if not todo:
-            return outcomes
         scored = _contained(self.predict_records, turbine, [outcomes[i] for i in todo])
         if isinstance(scored, Exception):  # score one record at a time: only the failing ones fail
             scored = [_contained(self.predict_records, turbine, [outcomes[i]]) for i in todo]
@@ -447,11 +433,14 @@ class MonitoringAgent:
             return 0
         lines: list[str] = []
         dead: list[str] = []
-        keys: set[tuple[str, int]] = set()
+        keys: list[tuple[str, int]] = []
+        duplicates = 0
         for msgs in polled:
             # each batch's lines are rendered before the next batch is scored
             for msg, result in zip(msgs, self._handle(msgs)):
-                if isinstance(result, Exception):
+                if result is None:
+                    duplicates += 1
+                elif isinstance(result, Exception):
                     error = str(result) if isinstance(result, MalformedPayload) else f"handler failure: {result!r}"
                     dead.append(json.dumps({
                         "turbine": msg.topic,
@@ -460,13 +449,10 @@ class MonitoringAgent:
                         "payload": msg.payload.decode("utf-8", errors="replace"),
                         "quarantined_at": time.time(),
                     }, sort_keys=True))
-                    continue
-                # _handle skips earlier rounds' keys (in _seen), this the round's
-                if isinstance(result, Skip) or (msg.topic, result.t) in keys:
-                    self._bump("duplicates_skipped")
-                    continue
-                keys.add((msg.topic, result.t))
-                lines.append(result.to_json_line())
+                else:
+                    keys.append((msg.topic, result.t))
+                    lines.append(result.to_json_line())
+        self._bump("duplicates_skipped", duplicates)
         if dead:
             self.dead_letter.append_lines(dead)
             self._bump("dead_lettered", len(dead))

@@ -19,14 +19,14 @@ Conventions, fixed so independent reimplementations agree:
   returns the vote argmax, all ties breaking to the lowest class id. Scoring
   runs over compiled arrays: ``compile_forests`` lays the trees of one or
   more forests out as flat node arrays (``feature``, ``threshold``,
-  ``left``, ``right``, ``leaf_class`` and each tree's root), taking every
-  leaf's class with one argmax per forest; ``vote_counts`` starts every
-  (row, tree) pair at its tree's root, steps the pairs still at an inner
-  node down one level at a time and counts the leaves' classes with one
-  ``bincount``. ``predict``, ``predict_batch`` (and so ``metrics.score``
-  and the grid) and the monitoring agent all score this way, for one row or
-  many. ``DecisionTree.predict_index`` walks one tree in Python; the tests
-  use it as the reference.
+  ``children``, ``leaf_class`` and each tree's root), taking every leaf's
+  class with one argmax per forest; ``vote_counts`` starts every (row, tree)
+  pair at its tree's root, steps the pairs still at an inner node down one
+  level at a time, each step one lookup in ``children``, and counts the
+  leaves' classes with one ``bincount``. ``predict``, ``predict_batch``
+  (and so ``metrics.score`` and the grid) and the monitoring agent all score
+  this way, for one row or many. ``DecisionTree.predict_index`` walks one
+  tree in Python; the tests use it as the reference.
 """
 
 from __future__ import annotations
@@ -56,17 +56,13 @@ class DecisionTree:
     right: list[int]
     counts: list[list[int] | None]  # per leaf, its rows per class; None at an inner node
 
-    def apply(self, x) -> int:
-        """Index of the leaf reached by feature vector x."""
-        i = 0
-        feature, threshold, left, right = self.feature, self.threshold, self.left, self.right
-        while feature[i] != LEAF:
-            i = left[i] if x[feature[i]] <= threshold[i] else right[i]
-        return i
-
     def predict_index(self, x) -> int:
-        """Majority class index at the reached leaf (ties to lowest index)."""
-        counts = self.counts[self.apply(x)]
+        """Majority class index at the leaf feature vector x reaches (ties to
+        the lowest index)."""
+        i = 0
+        while self.feature[i] != LEAF:
+            i = self.left[i] if x[self.feature[i]] <= self.threshold[i] else self.right[i]
+        counts = self.counts[i]
         return counts.index(max(counts))
 
     def depth(self) -> int:
@@ -249,8 +245,10 @@ class CompiledForests:
     """The trees of one or more forests as flat node arrays, for ``vote_counts``.
 
     Node indexes are absolute; ``feature`` holds the input column tested at
-    an inner node and LEAF at a leaf. A leaf's ``left`` and ``right`` are
-    the leaf itself, so a pair that steps from a leaf stays there.
+    an inner node and LEAF at a leaf. ``children[2 * i]`` is node i's left
+    child, taken when its value is ``<= threshold[i]``, and
+    ``children[2 * i + 1]`` its right child. Both children of a leaf are the
+    leaf itself, so a pair that steps from a leaf stays there.
     ``leaf_class`` is a leaf's column in the vote matrix: its forest's first
     column plus its majority class index (ties to the lowest).
     """
@@ -259,8 +257,7 @@ class CompiledForests:
     threshold: np.ndarray  # float64
     # node indexes are intp: the walk indexes with them at every level, and
     # numpy converts any other index dtype to intp on each use
-    left: np.ndarray
-    right: np.ndarray
+    children: np.ndarray
     leaf_class: np.ndarray  # int32
     roots: np.ndarray  # one per tree
     n_features: int  # width of an input row
@@ -303,13 +300,13 @@ def compile_forests(
         at_leaf = feature == LEAF
         leaf_class = np.zeros(feature.size, dtype=np.int32)
         leaf_class[at_leaf] = first_class + leaf_counts.argmax(axis=1)
-        left = np.where(at_leaf, node, flat("left", np.intp) + shift)
-        right = np.where(at_leaf, node, flat("right", np.intp) + shift)
-        parts.append((feature, flat("threshold", np.float64), left, right, leaf_class, roots))
+        children = np.column_stack([np.where(at_leaf, node, flat(side, np.intp) + shift)
+                                    for side in ("left", "right")]).ravel()
+        parts.append((feature, flat("threshold", np.float64), children, leaf_class, roots))
         offset += node.size
         first_class += len(f.class_ids)
-    feature, threshold, left, right, leaf_class, roots = (np.concatenate(arrays) for arrays in zip(*parts))
-    return CompiledForests(feature, threshold, left, right, leaf_class, roots, n_features,
+    feature, threshold, children, leaf_class, roots = (np.concatenate(arrays) for arrays in zip(*parts))
+    return CompiledForests(feature, threshold, children, leaf_class, roots, n_features,
                            tuple(f.class_ids for f in forests), tuple(f.n_trees for f in forests))
 
 
@@ -333,7 +330,10 @@ def vote_counts(c: CompiledForests, X: np.ndarray) -> list[np.ndarray]:
             leaf[pair] = node  # final for the pairs at a leaf; the others step on
             keep = np.flatnonzero(inner)
             pair, node, at, f = pair[keep], node[keep], at[keep], f[keep]
-        node = np.where(x[at + f] <= c.threshold[node], c.left[node], c.right[node])
+        # children[2 * node + (x > threshold)]: x is finite, so ``>`` is
+        # exactly "not <=" and True picks the right child; the shift and or
+        # spell the same index, faster than a multiply and add in numpy
+        node = c.children[(node << 1) | (x[at + f] > c.threshold[node])]
     cells = np.repeat(np.arange(0, n * width, width), n_trees) + c.leaf_class[leaf]
     counts = np.bincount(cells, minlength=n * width)
     return np.split(counts.reshape(n, width), np.cumsum(widths[:-1]), axis=1)

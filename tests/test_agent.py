@@ -18,15 +18,14 @@ from windpdm.agent import (
     STOPPED,
     MonitoringAgent,
     NotificationSink,
-    Skip,
     bundle_path,
 )
-from windpdm.broker import Broker, Message
+from windpdm.broker import Broker
 from windpdm.durable import iter_lines
 from windpdm.endpoint import AgentEndpoint
 from windpdm.errors import FatalStorageFailure, MissingModel, StorageFailure
 from windpdm.forest import predict, train_forest
-from windpdm.ingest import OperationalRecord
+from windpdm.ingest import OperationalRecord, parse_operational_row
 from windpdm.manifest import Manifest
 from windpdm.model_io import ModelBundle, save_model
 from windpdm.patterns import HORIZONS_MINUTES, StatusPattern
@@ -47,8 +46,8 @@ def manifest():
     )
 
 
-def make_models(models_dir, turbines, skip=()):
-    """Tiny real bundles: class 1 iff wind_speed > 5."""
+def make_models(models_dir, turbines, skip=(), features=FEATURES):
+    """Tiny real bundles: class 1 iff the first feature > 5."""
     rng = np.random.default_rng(0)
     X = rng.uniform(0, 10, size=(60, 2))
     y = (X[:, 0] > 5).astype(np.int64)
@@ -60,7 +59,7 @@ def make_models(models_dir, turbines, skip=()):
             forest = train_forest(X, y, [0, 1], n_trees=3, max_depth=3, seed=h)
             bundle = ModelBundle(
                 turbine_id=turbine, horizon_minutes=h, forest=forest,
-                feature_names=FEATURES,
+                feature_names=features,
                 patterns=[StatusPattern(1, frozenset({"GOverSpMax"}), 0.2)],
                 created_at=T0)
             path = bundle_path(models_dir, turbine, h)
@@ -124,12 +123,27 @@ class TestStart:
                                       tmp_path / "sink", manifest, allow_partial=True)
         assert agent.turbines == ["T2"]
 
+    def test_allow_partial_drops_turbine_reading_a_feature_missing_from_manifest(self, tmp_path, manifest):
+        models_dir = tmp_path / "m"
+        make_models(models_dir, ["T1"], features=["wind_speed", "blade_pitch"])
+        make_models(models_dir, ["T2"])
+        agent = MonitoringAgent.start(models_dir, Broker(tmp_path / "broker"), list(manifest.turbines),
+                                      tmp_path / "sink", manifest, allow_partial=True)
+        assert agent.turbines == ["T2"]
+
+    def test_gaps_in_two_turbines_named_in_one_error(self, tmp_path, manifest):
+        models_dir = tmp_path / "m"
+        make_models(models_dir, manifest.turbines, skip={("T1", 30), ("T2", 10)})
+        with pytest.raises(MissingModel, match=r"\(T1, 30\).*\(T2, 10\)"):
+            MonitoringAgent.start(models_dir, Broker(tmp_path / "broker"), list(manifest.turbines),
+                                  tmp_path / "sink", manifest)
+
 
 class TestProcessMessage:
-    def test_notification_matches_direct_predict(self, rig):
+    def test_notification_matches_direct_predict(self, rig, manifest):
         agent, _, bundles, _ = rig
-        msg = Message("T1", 0, time.time(), row_payload(T0, wind_speed=8.5))
-        result = agent.process_message(msg)
+        record = parse_operational_row(row_payload(T0, wind_speed=8.5).decode(), manifest.parameters, "T1")
+        [result] = agent.predict_records("T1", [record])
         assert result.turbine_id == "T1"
         assert result.t == T0
         assert sorted(result.horizons) == list(HORIZONS_MINUTES)
@@ -157,6 +171,16 @@ class TestProcessMessage:
         sink_lines = (tmp / "sink" / SINK_FILENAME).read_text().splitlines()
         assert len(sink_lines) == 1
         assert agent.counters["duplicates_skipped"] == 1
+
+    def test_duplicate_inside_one_batch(self, rig):
+        agent, broker, _, tmp = rig
+        for ts in (T0, T0, T0 + 600):
+            broker.publish("T1", row_payload(ts))
+        assert agent.process_available() == 3
+        lines = [json.loads(l) for l in (tmp / "sink" / SINK_FILENAME).read_text().splitlines()]
+        assert [doc["t"] for doc in lines] == [format_rfc3339(T0), format_rfc3339(T0 + 600)]
+        assert agent.counters["duplicates_skipped"] == 1
+        assert broker.committed_offset(agent.group, "T1") == 3
 
     def test_corrupt_payload_goes_to_dead_letter(self, rig):
         agent, broker, _, tmp = rig
@@ -720,6 +744,3 @@ class TestSink:
         assert sink.line_offset(1) == (len("ä€\n".encode()), 0)
         assert sink.line_offset(2) == (sink.length, 0)
         assert sink.line_offset(5) == (sink.length, 3)
-
-    def test_skip_dataclass(self):
-        assert Skip("duplicate").reason == "duplicate"
