@@ -9,11 +9,15 @@ sink.
 Exactly-once notifications on top of at-least-once delivery:
 
 * the sink itself is the durable dedupe record. Notifications are appended
-  (and fsynced) BEFORE the offset commit, and the in-memory (turbine, t)
-  index is rebuilt from the sink on start. A record whose (turbine, t) is
-  in that index, or earlier in its own polled batch, is a duplicate: it is
-  counted and skipped, so a crash between append and commit never makes a
-  duplicate line.
+  (and fsynced) BEFORE the offset commit, and the in-memory index, each
+  turbine's set of notified epoch seconds, is rebuilt from the sink on start
+  (``index_sink``). It reads the sink in blocks and takes each line's
+  (turbine, t) from the end ``to_json_line`` gives every line, parsing a line
+  as JSON only if it ends otherwise. A record whose (turbine, t) is in that
+  index, or earlier in its own polled batch, is a duplicate: it is counted
+  and skipped, so a crash between append and commit never makes a duplicate
+  line. ``/health``'s ``sink_index`` gives the lines the rebuild read, the
+  keys it indexed and the lines it skipped for holding no key.
 * malformed payloads are quarantined to a dead-letter log and their offset
   committed; the stream keeps flowing.
 
@@ -50,15 +54,17 @@ bundle's payload sha256 and ``created_at``.
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .broker import Broker, Message
-from .durable import READ_BYTES, append_at, cut_torn_line, iter_lines
+from .durable import READ_BYTES, append_at, cut_torn_line
 from .errors import (
     DataError,
     FatalStorageFailure,
@@ -120,8 +126,8 @@ class NotificationSink:
     Appends are serialized by a lock and advance ``length``, the byte length
     of the whole lines written, under it. A follower (the streaming
     endpoint) finds where line N starts with ``line_offset`` once, then
-    calls ``follow`` for the bytes appended since; ``durable.iter_lines``
-    reads the whole file.
+    calls ``follow`` for the bytes appended since; ``index_sink`` reads the
+    whole file, once, when the agent starts.
     """
 
     def __init__(self, path: Path):
@@ -175,6 +181,63 @@ class NotificationSink:
                 n -= count
                 pos += len(block)
         return pos, n
+
+
+# the end of every line ``to_json_line`` renders: ``sort_keys`` puts "t" and
+# "turbine" last. The leading ", " starts a match at a member, not inside a
+# key; a value holding a quote, an escape or a newline is not matched.
+_SINK_KEY = re.compile(r', "t": "([^"\\\n]*)", "turbine": "([^"\\\n]*)"\}$', re.MULTILINE)
+
+
+def _line_key(line: str) -> tuple[str, str] | None:
+    """A sink line's (t, turbine) text: from its canonical end, else from the
+    line parsed as a JSON object; None if it holds neither as strings."""
+    match = _SINK_KEY.search(line)
+    if match:
+        return match.groups()
+    try:
+        doc = json.loads(line)
+        key = doc["t"], doc["turbine"]
+    except (ValueError, KeyError, TypeError):
+        return None
+    return key if isinstance(key[0], str) and isinstance(key[1], str) else None
+
+
+def index_sink(path: Path) -> tuple[defaultdict[str, set[int]], dict[str, int]]:
+    """The (turbine, t) keys of the sink's whole lines, as each turbine's set
+    of epoch seconds, and the counts of whole ``lines`` read, distinct keys
+    ``indexed`` and lines ``skipped`` for giving no key.
+
+    The sink is read as strict UTF-8, one ``READ_BYTES`` block at a time, and
+    each block's keys are taken by one ``findall``. A block holding a line that
+    does not end like ``to_json_line``'s is read line by line (``_line_key``).
+    Each distinct ``t`` is parsed once; a line whose ``t`` does not parse
+    gives no key."""
+    seen: defaultdict[str, set[int]] = defaultdict(set)
+    stamps: dict[str, int | None] = {}
+    lines = keyed = 0
+    rest = ""
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
+        while block := fh.read(READ_BYTES):
+            block = rest + block
+            cut = block.rfind("\n") + 1  # a line the block cut is finished by the next
+            block, rest = block[:cut], block[cut:]
+            count = block.count("\n")
+            keys = _SINK_KEY.findall(block)
+            if len(keys) != count:
+                keys = [key for key in map(_line_key, block.split("\n")[:-1]) if key]
+            lines += count
+            for stamp, turbine in keys:
+                if stamp not in stamps:
+                    try:
+                        stamps[stamp] = parse_rfc3339(stamp)
+                    except DataError:
+                        stamps[stamp] = None
+                t = stamps[stamp]
+                if t is not None:
+                    seen[turbine].add(t)
+                    keyed += 1
+    return seen, {"lines": lines, "indexed": sum(map(len, seen.values())), "skipped": lines - keyed}
 
 
 def _contained(handler, *args):
@@ -274,13 +337,7 @@ class MonitoringAgent:
         self._thread: threading.Thread | None = None
 
         # dedupe index rebuilt from the sink: the sink is the durable record
-        self._seen: set[tuple[str, int]] = set()
-        for line in iter_lines(sink.path):
-            try:
-                doc = json.loads(line)
-                self._seen.add((doc["turbine"], parse_rfc3339(doc["t"])))
-            except (json.JSONDecodeError, KeyError, DataError):
-                continue
+        self._seen, self.sink_index = index_sink(sink.path)
 
     # -- construction ---------------------------------------------------------
 
@@ -338,6 +395,7 @@ class MonitoringAgent:
             "counters": counters,
             "fatal_error": self.fatal_error,
             "models": {turbine: self._models[turbine].provenance for turbine in self.turbines},
+            "sink_index": dict(self.sink_index),
         }
 
     def _bump(self, key: str, by: int = 1) -> None:
@@ -385,11 +443,12 @@ class MonitoringAgent:
         turbine = msgs[0].topic
         outcomes = [_contained(self._parse, msg) for msg in msgs]
         todo = []
+        seen = self._seen[turbine]
         batch: set[int] = set()
         for i, record in enumerate(outcomes):
             if isinstance(record, Exception):
                 continue
-            if (turbine, record.timestamp) in self._seen or record.timestamp in batch:
+            if record.timestamp in seen or record.timestamp in batch:
                 outcomes[i] = None
             else:
                 batch.add(record.timestamp)
@@ -457,7 +516,8 @@ class MonitoringAgent:
             self.dead_letter.append_lines(dead)
             self._bump("dead_lettered", len(dead))
         self.sink.append_lines(lines)
-        self._seen.update(keys)
+        for turbine, t in keys:
+            self._seen[turbine].add(t)
         self._bump("notifications", len(lines))
         try:
             self.broker.commit_many(self.group, {msgs[0].topic: msgs[-1].offset + 1 for msgs in polled})

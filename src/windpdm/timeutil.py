@@ -19,11 +19,11 @@ def parse_rfc3339(text: str) -> int:
         raw = raw[:-1] + "+00:00"
     try:
         dt = datetime.fromisoformat(raw)
-    except ValueError as exc:
+        if dt.tzinfo is None:
+            raise MalformedRow(f"timestamp {text!r} has no UTC offset")
+        return int(dt.astimezone(timezone.utc).timestamp())
+    except (ValueError, OverflowError) as exc:  # the offset can move a date out of range
         raise MalformedRow(f"bad timestamp {text!r}: {exc}") from None
-    if dt.tzinfo is None:
-        raise MalformedRow(f"timestamp {text!r} has no UTC offset")
-    return int(dt.astimezone(timezone.utc).timestamp())
 
 
 def format_rfc3339(ts: int) -> str:

@@ -9,9 +9,14 @@ obvious beats fast and clever for an oracle.
 
 from __future__ import annotations
 
+import json
 from itertools import combinations
 
 import numpy as np
+
+from windpdm.durable import iter_lines
+from windpdm.errors import DataError
+from windpdm.timeutil import parse_rfc3339
 
 
 def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
@@ -182,3 +187,20 @@ def recompute_metrics(pred: list[int], actual: list[int], classes: list[int]):
         "global": global_acc,
         "prevalence": [sum(counts[i]) / total for i in range(k)],
     }
+
+
+def sink_keys_per_line(path) -> dict[str, set[int]]:
+    """Per turbine, the epoch seconds of a notification sink's whole lines,
+    each line parsed on its own with ``json.loads``: a line gives a key when
+    it is a JSON object whose "turbine" and "t" are strings and "t" parses as
+    RFC 3339. The reference for the agent's block-wise ``index_sink``."""
+    keys: dict[str, set[int]] = {}
+    for line in iter_lines(path):
+        try:
+            doc = json.loads(line)
+            turbine, stamp = doc["turbine"], doc["t"]
+            if isinstance(turbine, str) and isinstance(stamp, str):
+                keys.setdefault(turbine, set()).add(parse_rfc3339(stamp))
+        except (ValueError, KeyError, TypeError, DataError):
+            continue
+    return keys

@@ -16,9 +16,12 @@ from windpdm.agent import (
     READY,
     SINK_FILENAME,
     STOPPED,
+    HorizonPrediction,
     MonitoringAgent,
     NotificationSink,
+    PredictionNotification,
     bundle_path,
+    index_sink,
 )
 from windpdm.broker import Broker
 from windpdm.durable import iter_lines
@@ -33,6 +36,7 @@ from windpdm.timeutil import format_rfc3339
 
 from conftest import T0
 from fakes import FaultyBroker, SimulatedCrash, install_failpoint
+from oracles import sink_keys_per_line
 
 FEATURES = ["wind_speed", "power_kw"]
 
@@ -71,6 +75,12 @@ def make_models(models_dir, turbines, skip=(), features=FEATURES):
 
 def row_payload(ts, wind_speed=1.0):
     return f"{format_rfc3339(ts)},{wind_speed},7.0,3.0,55.0".encode()
+
+
+def note_line(turbine, ts):
+    """A sink line as the agent writes it."""
+    return PredictionNotification(
+        turbine, ts, {h: HorizonPrediction(0, 1.0) for h in HORIZONS_MINUTES}, 1, float(ts)).to_json_line()
 
 
 @pytest.fixture
@@ -308,6 +318,33 @@ class TestCrashRecovery:
         assert agent.counters["duplicates_skipped"] == 2
         assert len((tmp / "sink" / SINK_FILENAME).read_text().splitlines()) == 2
         assert broker.committed_offset(agent.group, "T1") == 1
+
+    def test_crash_between_sink_and_commit_over_a_sink_of_many_blocks(self, rig, manifest, monkeypatch):
+        agent, broker, _, tmp = rig
+        for i in range(12):
+            for turbine in ("T1", "T2"):
+                broker.publish(turbine, row_payload(T0 + i * 600))
+        assert agent.process_available() == 24
+        for i in range(12, 16):
+            for turbine in ("T1", "T2"):
+                broker.publish(turbine, row_payload(T0 + i * 600))
+
+        def crash_after_sink(stage):
+            if stage == "after_sink_append":
+                raise SimulatedCrash
+
+        install_failpoint(agent, crash_after_sink)
+        with pytest.raises(SimulatedCrash):
+            agent.process_available()
+        # blocks shorter than a line: every line straddles a block boundary
+        monkeypatch.setattr(agent_mod, "READ_BYTES", 100)
+        agent2 = self._restart(tmp, manifest, Broker(tmp / "broker"))
+        assert agent2.health()["sink_index"] == {"lines": 32, "indexed": 32, "skipped": 0}
+        assert agent2.process_available() == 8
+        lines = (tmp / "sink" / SINK_FILENAME).read_text().splitlines()
+        assert len(lines) == len({(json.loads(l)["turbine"], json.loads(l)["t"]) for l in lines}) == 32
+        assert agent2.counters["duplicates_skipped"] == 8
+        assert agent2.counters["notifications"] == 0
 
     def test_restart_resumes_from_committed_offset(self, rig, manifest):
         agent, broker, _, tmp = rig
@@ -744,3 +781,88 @@ class TestSink:
         assert sink.line_offset(1) == (len("ä€\n".encode()), 0)
         assert sink.line_offset(2) == (sink.length, 0)
         assert sink.line_offset(5) == (sink.length, 3)
+
+
+class TestSinkIndex:
+    """The dedupe index rebuilt from the sink at start (``index_sink``)."""
+
+    def mixed_sink(self, path):
+        stamp = format_rfc3339(T0 + 600)
+        lines = [
+            note_line("T1", T0),
+            note_line("T2", T0),
+            json.dumps({"turbine": "T1", "t": stamp, "extra": [1, 2]}),  # keys in another order
+            '{ "t" : "%s" ,  "turbine" : "T2" }' % stamp,  # extra spaces
+            note_line("T1", T0 + 1200) + "\r",  # a CRLF line
+            "not json at all",
+            json.dumps({"turbine": "T1"}),  # no t
+            json.dumps({"t": stamp}),  # no turbine
+            note_line("T2", T0 + 1200).replace(format_rfc3339(T0 + 1200), "2015-13-01T00:00:00Z"),
+            note_line("T2", T0 + 1800).replace(format_rfc3339(T0 + 1800), "0001-01-01T00:00:00+01:00"),
+            "[1, 2]",  # JSON, not an object
+            json.dumps({"t": 5, "turbine": "T1"}),  # t not a string
+            json.dumps({'"t': stamp, "turbine": "T1"}),  # a key named '"t', and no t key
+            note_line("T9", T0),  # a turbine that is not monitored
+            note_line("T\u00fc", T0),  # an escaped turbine id
+            note_line("T1", T0),  # a line notified twice
+        ] + [note_line("T2", T0 + 600 * (3 + i)) for i in range(8)]
+        torn = note_line("T1", T0 + 3000)[:-5]  # a torn last line
+        path.write_text("".join(line + "\n" for line in lines) + torn, encoding="utf-8")
+        return lines
+
+    @pytest.mark.parametrize("block", [64, 1000, 1 << 20])
+    def test_index_equals_per_line_json_oracle(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(agent_mod, "READ_BYTES", block)
+        path = tmp_path / SINK_FILENAME
+        lines = self.mixed_sink(path)
+        seen, stats = index_sink(path)
+        expected = sink_keys_per_line(path)
+        assert seen == expected
+        assert "T9" in seen and "T\u00fc" in seen
+        assert stats == {"lines": len(lines), "indexed": sum(map(len, expected.values())), "skipped": 8}
+
+    def test_sink_in_the_written_form_reads_no_line_alone(self, tmp_path, monkeypatch):
+        path = tmp_path / SINK_FILENAME
+        path.write_text("".join(note_line(turbine, T0 + 600 * i) + "\n"
+                                for i in range(50) for turbine in ("T1", "T2")), encoding="utf-8")
+        monkeypatch.setattr(agent_mod, "READ_BYTES", 1000)
+
+        def no_line_alone(line):
+            raise AssertionError(f"read alone: {line!r}")
+
+        monkeypatch.setattr(agent_mod, "_line_key", no_line_alone)
+        seen, stats = index_sink(path)
+        assert seen == sink_keys_per_line(path)
+        assert stats == {"lines": 100, "indexed": 100, "skipped": 0}
+
+    def test_broken_json_in_the_written_form_counts_as_notified(self, rig, manifest):
+        agent, broker, _, tmp = rig
+        broken = '{"horizons": {"10": , "t": "%s", "turbine": "T1"}' % format_rfc3339(T0)
+        (tmp / "sink" / SINK_FILENAME).write_text(broken + "\n", encoding="utf-8")
+        assert sink_keys_per_line(tmp / "sink" / SINK_FILENAME) == {}
+        restarted = MonitoringAgent.start(
+            tmp / "models", broker, list(manifest.turbines), tmp / "sink", manifest)
+        assert restarted.health()["sink_index"] == {"lines": 1, "indexed": 1, "skipped": 0}
+        broker.publish("T1", row_payload(T0))
+        assert restarted.process_available() == 1
+        assert restarted.counters["duplicates_skipped"] == 1
+        assert (tmp / "sink" / SINK_FILENAME).read_text(encoding="utf-8") == broken + "\n"
+
+    def test_health_counts_a_line_that_gives_no_key(self, rig, manifest):
+        agent, broker, _, tmp = rig
+        (tmp / "sink" / SINK_FILENAME).write_text(
+            note_line("T1", T0) + "\nnot a notification\n" + note_line("T2", T0) + "\n", encoding="utf-8")
+        restarted = MonitoringAgent.start(
+            tmp / "models", broker, list(manifest.turbines), tmp / "sink", manifest)
+        assert restarted.health()["sink_index"] == {"lines": 3, "indexed": 2, "skipped": 1}
+        broker.publish("T1", row_payload(T0 + 600))
+        assert restarted.process_available() == 1
+        # filled once at start: a message changes no figure
+        assert restarted.health()["sink_index"] == {"lines": 3, "indexed": 2, "skipped": 1}
+        assert json.loads(json.dumps(restarted.health()))["sink_index"]["skipped"] == 1
+
+    def test_sink_that_is_not_utf8_refuses_the_start(self, rig, manifest):
+        agent, broker, _, tmp = rig
+        (tmp / "sink" / SINK_FILENAME).write_bytes(note_line("T1", T0).encode() + b"\n\xff\xfe\n")
+        with pytest.raises(UnicodeDecodeError):
+            MonitoringAgent.start(tmp / "models", broker, list(manifest.turbines), tmp / "sink", manifest)

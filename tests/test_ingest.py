@@ -49,6 +49,11 @@ class TestParseOperational:
     def test_header_only(self):
         assert parse_operational_csv(op_csv(), PARAMS4, "T1") == []
 
+    @pytest.mark.parametrize("stamp", ["2015-01-01T00:10:00", "0001-01-01T00:00:00+01:00"])
+    def test_timestamp_without_offset_or_out_of_range(self, stamp):
+        with pytest.raises(MalformedRow):
+            parse_operational_csv(op_csv(f"{stamp},1,2,3,4"), PARAMS4, "T1")
+
     def test_misaligned_timestamp(self):
         with pytest.raises(MisalignedTimestamp):
             parse_operational_csv(op_csv("2015-01-01T00:07:00Z,1,2,3,4"), PARAMS4, "T1")
