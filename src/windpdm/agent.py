@@ -26,7 +26,7 @@ round, appends the round's notifications in one write, and then commits
 every polled turbine in one ``Broker.commit_many`` (one fsync). The agent's
 broker handle is the one consumer of its turbines' topics for the group, so
 it keeps their committed offsets in memory, and a poll of a turbine with
-nothing new opens no file: an idle round costs two stats per turbine. A
+nothing new opens no file: an idle round costs one stat per turbine. A
 failing handler is contained to its message (dead-lettered). A
 ``StorageFailure`` backs off the turbine whose poll raised it, or every
 turbine of the round whose commit raised it, while the others keep flowing
@@ -66,11 +66,13 @@ import numpy as np
 from .broker import Broker, Message
 from .durable import READ_BYTES, append_at, cut_torn_line
 from .errors import (
+    CorruptModel,
     DataError,
     FatalStorageFailure,
     MalformedPayload,
     MissingModel,
     StorageFailure,
+    VersionMismatch,
 )
 from .forest import CompiledForests, compile_forests, vote_counts
 from .ingest import OperationalRecord, parse_operational_row
@@ -253,7 +255,8 @@ def _contained(handler, *args):
 
 def load_turbine_bundles(models_dir: Path, turbine: str) -> dict[int, ModelBundle]:
     """A turbine's six bundles by horizon; raises MissingModel naming every
-    gap, or the first bundle that holds another turbine or horizon."""
+    gap, or the first bundle that holds another turbine or horizon, and
+    ``load_model``'s CorruptModel or VersionMismatch for one it cannot read."""
     missing = []
     per_horizon = {}
     for h in HORIZONS_MINUTES:
@@ -355,10 +358,11 @@ class MonitoringAgent:
         """Load and compile each turbine's bundles, subscribe to every turbine
         topic, report Ready.
 
-        A turbine whose bundles are missing, mislabelled or read a feature
-        the manifest lacks is a gap. By default any gap refuses the whole
-        start, with one MissingModel naming every gap; ``allow_partial``
-        drops those turbines instead, unless no turbine is left.
+        A turbine whose bundles are missing, corrupt, of another format
+        version, mislabelled or read a feature the manifest lacks is a gap.
+        By default any gap refuses the whole start, with one MissingModel
+        naming every gap; ``allow_partial`` drops those turbines instead,
+        unless no turbine is left.
         """
         models = {}
         gaps = []
@@ -366,7 +370,7 @@ class MonitoringAgent:
             # one turbine's bundles at a time: their trees are freed once compiled
             try:
                 models[turbine] = compile_turbine(turbine, load_turbine_bundles(models_dir, turbine), manifest)
-            except MissingModel as exc:
+            except (MissingModel, CorruptModel, VersionMismatch) as exc:
                 gaps.append(str(exc))
         if gaps and not (allow_partial and models):
             raise MissingModel("; ".join(gaps))

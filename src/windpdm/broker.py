@@ -11,16 +11,18 @@ Guarantees (the contract the monitoring agent builds on):
 * offsets are contiguous from 0 and observed in order between commits.
 
 On-disk layout: a topic is ``<topic>/segments/``, made by one ``mkdir``,
-holding ``<base-offset>.log`` files of length-prefixed, crc32-checksummed
-frames; one offsets log per consumer group is ``@groups/<group>.log``
-(``NAME_RE`` rejects ``@``, so no topic can take that name). A handle keeps
-each topic as its segments, each with the start of every frame and the end
-of the last; only opening a topic lists its directory. The one publishing
-handle of a topic writes at the end of its last segment, or of a new one
-once that end reaches ``SEGMENT_BYTES``, and cuts what lies past it, so a
-failed or torn frame is overwritten by the next acknowledged one. No other
-call writes a segment: every handle reads an incomplete or invalid tail
-frame as not yet published and skips it until then.
+holding one segment file, ``SEGMENT_NAME``, of length-prefixed,
+crc32-checksummed frames, which the topic's first publish creates; one
+offsets log per consumer group is ``@groups/<group>.log`` (``NAME_RE``
+rejects ``@``, so no topic can take that name). A handle keeps each topic as
+the start of every frame and the end of the last; only opening a topic lists
+its directory. A ``segments/`` directory that holds any other ``*.log`` was
+rolled by an older build, so opening it raises ``StorageFailure`` rather
+than drop those frames. The one publishing handle of a topic writes at the
+end of the segment and cuts what lies past it, so a failed or torn frame is
+overwritten by the next acknowledged one. No other call writes the segment:
+every handle reads an incomplete or invalid tail frame as not yet published
+and skips it until then.
 
 Each line of an offsets log is one commit: a JSON object holding the group's
 whole offset map, appended with one fsync, so a crash leaves the round's old
@@ -35,13 +37,10 @@ group's first use and keeps it in memory for its polls, updating it at each
 of its commits; a topic is consumed for a group by one handle at a time.
 
 The tail rule, ``_TopicState.refresh``, is the one place that looks for
-what other handles appended: one stat of the last segment, scanned from its
-end if it grew, then one stat of the name at the next offset, which is where
-a roll puts the next segment; while the last segment is empty it is that
-segment, so the second stat is skipped. A poll whose committed offset has
-then reached the next offset returns at once, so an idle poll opens no
-file. The directory's mtime is not used: its coarse clock can hide a roll
-made within one tick.
+what other handles appended: one stat of the segment, scanned from its end
+if it grew; a missing segment holds no frame yet. A poll whose committed
+offset has then reached the next offset returns at once, so an idle poll
+makes one stat and opens no file.
 
 Appends to one topic are serialized by a lock and commits by the flock;
 polls are independent. The intended deployment is one publisher process and
@@ -57,7 +56,6 @@ import threading
 import time
 import zlib
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -67,8 +65,7 @@ from .errors import InvalidValue, OffsetAhead, StorageFailure, TopicExists, Unkn
 from .manifest import NAME_RE
 
 _FRAME_HEADER = struct.Struct("<IIQd")  # payload len, crc32(payload), offset, publish ts
-SEGMENT_SUFFIX = ".log"
-SEGMENT_BYTES = 64 * 1024 * 1024  # a publish rolls to a new segment past this
+SEGMENT_NAME = "00000000000000000000.log"  # a topic's one segment: the name of the first one older builds rolled
 GROUPS_DIR = "@groups"
 OFFSETS_LOG_BYTES = 64 * 1024  # a group's offsets log is compacted past this size
 
@@ -81,65 +78,46 @@ class Message:
     payload: bytes
 
 
-class _Segment:
-    """A segment file, its base offset, the start of each frame and the end of the last."""
-
-    def __init__(self, base: int, path: Path):
-        self.base, self.path, self.starts, self.end = base, path, array("q"), 0
-
-
 class _TopicState:
     def __init__(self, name: str, root: Path):
-        """Index the topic's segments, listing its directory once."""
+        """Index the topic's segment, listing its directory once."""
         self.name = name
-        self.segments_dir = root / name / "segments"
+        self.path = root / name / "segments" / SEGMENT_NAME
         self.lock = threading.Lock()
-        self.segments: list[_Segment] = []  # in offset order
-        # refresh's memo of (n, segment_path(n)): a Path built per idle poll is slow
-        self._next_segment: tuple[int, Path] = (0, self.segment_path(0))
-        for path in sorted(self.segments_dir.glob(f"*{SEGMENT_SUFFIX}"), key=lambda p: int(p.stem)):
-            self.scan(path)
-
-    def segment_path(self, base_offset: int) -> Path:
-        return self.segments_dir / f"{base_offset:020d}{SEGMENT_SUFFIX}"
+        self.starts, self.end = array("q"), 0  # the start of each frame and the end of the last
+        if rolled := sorted(p.name for p in self.path.parent.glob("*.log") if p.name != SEGMENT_NAME):
+            raise StorageFailure(f"topic {name}: {self.path.parent} holds segments rolled by an "
+                                 f"older build, which this one cannot read: {', '.join(rolled)}")
+        self.scan()
 
     @property
     def next_offset(self) -> int:
-        return self.segments[-1].base + len(self.segments[-1].starts) if self.segments else 0
+        return len(self.starts)
 
-    def scan(self, path: Path | None = None) -> None:
-        """Index the frames past the end of the last segment, or of a new one at
-        ``path``; a frame that breaks offset contiguity raises StorageFailure."""
-        if path is not None:
-            self.segments.append(_Segment(self.next_offset, path))
-        seg = self.segments[-1]
+    def scan(self) -> None:
+        """Index the frames past ``end``; a frame that breaks offset
+        contiguity raises StorageFailure."""
         try:
-            if (size := os.stat(seg.path).st_size) <= seg.end:
+            if (size := os.stat(self.path).st_size) <= self.end:
                 return
-            with open(seg.path, "rb") as fh:
-                for offset, _ts, _payload, next_pos in _frames(fh, seg.end, size):
-                    if offset != (expected := seg.base + len(seg.starts)):
-                        raise StorageFailure(f"topic {self.name}: offset {offset} at {seg.path} "
-                                             f"breaks contiguity (expected {expected})")
-                    seg.starts.append(seg.end)
-                    seg.end = next_pos
+            with open(self.path, "rb") as fh:
+                for offset, _ts, _payload, next_pos in _frames(fh, self.end, size):
+                    if offset != len(self.starts):
+                        raise StorageFailure(f"topic {self.name}: offset {offset} at {self.path} "
+                                             f"breaks contiguity (expected {len(self.starts)})")
+                    self.starts.append(self.end)
+                    self.end = next_pos
         except OSError as exc:
+            if isinstance(exc, FileNotFoundError) and not self.end:
+                return  # nothing is published yet
             raise StorageFailure(f"topic {self.name}: scan failed: {exc}") from exc
 
     def refresh(self) -> int:
         """Index what other handles appended by the tail rule (module
         docstring), and return the next offset."""
         with self.lock:
-            if self.segments:
-                self.scan()
-            # an empty last segment is the one at the next offset
-            while not self.segments or self.segments[-1].starts:
-                if self._next_segment[0] != (n := self.next_offset):
-                    self._next_segment = (n, self.segment_path(n))
-                if not os.path.exists(self._next_segment[1]):
-                    break
-                self.scan(self._next_segment[1])
-            return self.next_offset
+            self.scan()
+            return len(self.starts)
 
 
 class _GroupLog:
@@ -258,16 +236,14 @@ class Broker:
             offset = state.next_offset
             frame = _FRAME_HEADER.pack(len(payload), zlib.crc32(payload), offset, time.time()) + payload
             try:
+                if not offset:
+                    create_file(state.path)
                 # the acknowledged end, not the file size, which counts a failed publish
-                if not state.segments or state.segments[-1].end >= SEGMENT_BYTES:
-                    create_file(path := state.segment_path(offset))
-                    state.segments.append(_Segment(offset, path))
-                segment = state.segments[-1]
-                end = append_at(segment.path, segment.end, frame)
+                end = append_at(state.path, state.end, frame)
             except OSError as exc:
                 raise StorageFailure(f"publish to topic {topic} failed: {exc}") from exc
-            segment.starts.append(segment.end)
-            segment.end = end
+            state.starts.append(state.end)
+            state.end = end
             return offset
 
     # -- consuming --------------------------------------------------------------
@@ -289,30 +265,25 @@ class Broker:
 
     def poll(self, group: str, topic: str, max_batch: int = 256) -> list[Message]:
         """Messages from the group's committed offset onward, in order, read with
-        one open per segment. Does not advance the committed offset. A caught-up
-        topic opens no file (see the module docstring)."""
+        one open. Does not advance the committed offset. A caught-up topic opens
+        no file (see the module docstring)."""
         state = self._state(topic)
         start = self._group(group).offsets.get(topic, 0)
         if start >= state.refresh():
             return []
-        with state.lock:  # each segment to read, and the offsets to read from it
-            first = max(bisect_right(state.segments, start, key=lambda seg: seg.base) - 1, 0)
-            reads = [(seg, wanted) for seg in islice(state.segments, first, None) if (wanted := range(
-                max(start, seg.base), min(start + max_batch, seg.base + len(seg.starts))))]
+        with state.lock:  # end only grows, so it bounds the wanted frames
+            wanted, pos, end = min(max_batch, len(state.starts) - start), state.starts[start], state.end
         out: list[Message] = []
-        for seg, wanted in reads:  # seg.end only grows, so it bounds the wanted frames
-            try:
-                with open(seg.path, "rb") as fh:
-                    frames = _frames(fh, seg.starts[wanted[0] - seg.base], seg.end)
-                    for offset, ts, payload, _next in islice(frames, len(wanted)):
-                        if offset != start + len(out):
-                            break
-                        out.append(Message(topic, offset, ts, payload))
-            except OSError as exc:
-                raise StorageFailure(f"reading {seg.path} failed: {exc}") from exc
-            if start + len(out) < wanted.stop:
-                pos = seg.starts[start + len(out) - seg.base]
-                raise StorageFailure(f"frame at {seg.path}:{pos} failed validation")
+        try:
+            with open(state.path, "rb") as fh:
+                for offset, ts, payload, _next in islice(_frames(fh, pos, end), wanted):
+                    if offset != start + len(out):
+                        break
+                    out.append(Message(topic, offset, ts, payload))
+        except OSError as exc:
+            raise StorageFailure(f"reading {state.path} failed: {exc}") from exc
+        if len(out) < wanted:
+            raise StorageFailure(f"frame at {state.path}:{state.starts[start + len(out)]} failed validation")
         return out
 
     def commit(self, group: str, topic: str, offset: int) -> None:

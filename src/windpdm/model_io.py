@@ -115,40 +115,43 @@ def deserialize_model(blob: bytes, source: str = "<bytes>") -> ModelBundle:
         doc = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptModel(f"{source}: undecodable payload: {exc}") from None
-    fdoc = doc["forest"]
-    trees = [
-        DecisionTree(
-            feature=t["feature"],
-            threshold=t["threshold"],
-            left=t["left"],
-            right=t["right"],
-            counts=t["counts"],
+    try:  # a payload that passes the checksum but holds no bundle object
+        fdoc = doc["forest"]
+        trees = [
+            DecisionTree(
+                feature=t["feature"],
+                threshold=t["threshold"],
+                left=t["left"],
+                right=t["right"],
+                counts=t["counts"],
+            )
+            for t in fdoc["trees"]
+        ]
+        forest = RandomForest(
+            trees=trees,
+            n_trees=fdoc["n_trees"],
+            max_depth=fdoc["max_depth"],
+            features_per_split=fdoc["features_per_split"],
+            class_ids=fdoc["class_ids"],
+            seed=fdoc["seed"],
+            bootstrap=fdoc["bootstrap"],
+            n_features=fdoc["n_features"],
         )
-        for t in fdoc["trees"]
-    ]
-    forest = RandomForest(
-        trees=trees,
-        n_trees=fdoc["n_trees"],
-        max_depth=fdoc["max_depth"],
-        features_per_split=fdoc["features_per_split"],
-        class_ids=fdoc["class_ids"],
-        seed=fdoc["seed"],
-        bootstrap=fdoc["bootstrap"],
-        n_features=fdoc["n_features"],
-    )
-    patterns = [
-        StatusPattern(p["pattern_id"], frozenset(p["alarms"]), p["support"])
-        for p in doc["patterns"]
-    ]
-    return ModelBundle(
-        turbine_id=doc["turbine_id"],
-        horizon_minutes=doc["horizon_minutes"],
-        forest=forest,
-        feature_names=doc["feature_names"],
-        patterns=patterns,
-        created_at=doc["created_at"],
-        sha256=digest.hex(),
-    )
+        patterns = [
+            StatusPattern(p["pattern_id"], frozenset(p["alarms"]), p["support"])
+            for p in doc["patterns"]
+        ]
+        return ModelBundle(
+            turbine_id=doc["turbine_id"],
+            horizon_minutes=doc["horizon_minutes"],
+            forest=forest,
+            feature_names=doc["feature_names"],
+            patterns=patterns,
+            created_at=doc["created_at"],
+            sha256=digest.hex(),
+        )
+    except (KeyError, TypeError) as exc:
+        raise CorruptModel(f"{source}: payload is no model bundle: {exc!r}") from None
 
 
 def dump_text(b: ModelBundle) -> str:

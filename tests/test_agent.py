@@ -141,6 +141,21 @@ class TestStart:
                                       tmp_path / "sink", manifest, allow_partial=True)
         assert agent.turbines == ["T2"]
 
+    def test_corrupt_bundle_is_a_gap(self, tmp_path, manifest):
+        models_dir = tmp_path / "m"
+        make_models(models_dir, manifest.turbines, skip={("T2", 10)})
+        path = bundle_path(models_dir, "T1", 20)
+        blob = bytearray(path.read_bytes())
+        blob[40] ^= 0xFF  # a payload byte: the checksum no longer matches
+        path.write_bytes(bytes(blob))
+        with pytest.raises(MissingModel, match=r"horizon_20\.model: checksum mismatch.*\(T2, 10\)"):
+            MonitoringAgent.start(models_dir, Broker(tmp_path / "broker"), list(manifest.turbines),
+                                  tmp_path / "sink", manifest)
+        make_models(models_dir, ["T2"])
+        agent = MonitoringAgent.start(models_dir, Broker(tmp_path / "broker"), list(manifest.turbines),
+                                      tmp_path / "sink", manifest, allow_partial=True)
+        assert agent.turbines == ["T2"]
+
     def test_gaps_in_two_turbines_named_in_one_error(self, tmp_path, manifest):
         models_dir = tmp_path / "m"
         make_models(models_dir, manifest.turbines, skip={("T1", 30), ("T2", 10)})

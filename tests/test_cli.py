@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from windpdm import cli
 from windpdm.cli import _parse_range_spec, main
 from windpdm.ingest import TurbineStore
 from windpdm.manifest import parse_bool
+from windpdm.model_io import _HEADER, FORMAT_VERSION, MAGIC
 from windpdm.timeutil import format_rfc3339
 
 from conftest import T0
@@ -140,6 +142,14 @@ class TestPipelineCommands:
         assert "model bundle: turbine T01" in capsys.readouterr().out
         assert run_cli("evaluate", "--model", str(model)) == 1
         assert "evaluate needs --dataset" in capsys.readouterr().err
+
+    def test_evaluate_dump_of_a_payload_that_is_no_bundle_is_2(self, tmp_path, capsys):
+        payload = b'{"forest": {"trees": 5}}'
+        model = tmp_path / "m.model"
+        model.write_bytes(_HEADER.pack(MAGIC, FORMAT_VERSION, len(payload)) + payload
+                          + hashlib.sha256(payload).digest())
+        assert run_cli("evaluate", "--model", str(model), "--dump") == 2
+        assert capsys.readouterr().err.startswith(f"error: data: {model}: payload is no model bundle")
 
     def test_grid_search_writes_cells(self, trained, tmp_path):
         dataset = trained / "datasets" / "T01" / "horizon_10.csv"

@@ -1,11 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from windpdm.errors import CorruptModel, VersionMismatch
 from windpdm.forest import predict, train_forest
 from windpdm.model_io import (
+    _HEADER,
     FORMAT_VERSION,
+    MAGIC,
     ModelBundle,
+    deserialize_model,
     dump_text,
     load_model,
     save_model,
@@ -104,6 +109,12 @@ class TestCorruption:
         path.write_bytes(bytes(blob))
         with pytest.raises(CorruptModel):
             load_model(path)
+
+    @pytest.mark.parametrize("payload", [b"{}", b"[]", b"5", b'{"forest": {"trees": 5}}'])
+    def test_checksummed_payload_that_is_no_bundle(self, payload):
+        blob = _HEADER.pack(MAGIC, FORMAT_VERSION, len(payload)) + payload + hashlib.sha256(payload).digest()
+        with pytest.raises(CorruptModel, match="no model bundle"):
+            deserialize_model(blob, source="m.model")
 
 
 class TestDump:
