@@ -26,8 +26,25 @@ round, appends the round's notifications in one write, and then commits
 every polled turbine in one ``Broker.commit_many`` (one fsync). The agent's
 broker handle is the one consumer of its turbines' topics for the group, so
 it keeps their committed offsets in memory, and a poll of a turbine with
-nothing new opens no file: an idle round costs one stat per turbine. A
-failing handler is contained to its message (dead-lettered). A
+nothing new opens no file: a round that finds nothing costs one stat per
+turbine.
+
+Between rounds the thread does not poll on a timer. After a round that
+handled nothing it blocks on the broker's inotify watch of its topics
+(``Broker.watch``), so a publish from any process wakes it at once; it
+drains the watch before each round, so a burst of frames costs one round.
+The wait ends after ``SAFETY_POLL_S`` in case an event was lost, or sooner
+when the earliest turbine's backoff ends, and ``stop()`` ends it at once
+through an eventfd. inotify sees only writes to a local filesystem made on
+this machine; a frame written any other way is picked up by the safety
+round, up to ``SAFETY_POLL_S`` late. Where inotify or eventfd is unavailable
+(no such libc symbol, ``ENOSYS``, or ``EMFILE`` once the per-user inotify
+instances run out), the thread waits ``idle_poll_interval`` after each idle
+round instead. ``/health`` names the path in use (``wake``: ``inotify`` or
+``timer``) and counts ``busy_rounds`` and ``idle_rounds``, the rounds that
+handled messages and those that handled none.
+
+A failing handler is contained to its message (dead-lettered). A
 ``StorageFailure`` backs off the turbine whose poll raised it, or every
 turbine of the round whose commit raised it, while the others keep flowing
 (health reports Degraded). The first wait is ``BACKOFF_INITIAL`` seconds and
@@ -36,9 +53,10 @@ succeeds ends the backoff. Any other exception, an unwritable sink included,
 stops the agent and names its cause in ``fatal_error``. Both logs append at
 the length acknowledged so far and cut a torn last line on open.
 
-Each turbine's six horizon forests are compiled at start into one node
-array set (``forest.compile_forests``), in ``HORIZONS_MINUTES`` order, with
-each bundle feature remapped to its column in the manifest's parameters, so
+Each turbine's six horizon forests, compiled as their bundles were read
+(``ModelBundle.compiled``), are stacked at start into one node array set
+(``forest.stack_forests``), in ``HORIZONS_MINUTES`` order, with each bundle
+feature remapped to its column in the manifest's parameters, so
 a parsed record's values are the input row as they stand. The agent keeps
 these arrays and each bundle's provenance (``TurbineModels``), not the
 bundles: at most one turbine's trees are alive at a time, and none once the
@@ -54,7 +72,10 @@ bundle's payload sha256 and ``created_at``.
 from __future__ import annotations
 
 import json
+import math
+import os
 import re
+import select
 import threading
 import time
 from collections import defaultdict
@@ -63,7 +84,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .broker import Broker, Message
+from .broker import Broker, Message, TopicWatch
 from .durable import READ_BYTES, append_at, cut_torn_line
 from .errors import (
     CorruptModel,
@@ -74,7 +95,7 @@ from .errors import (
     StorageFailure,
     VersionMismatch,
 )
-from .forest import CompiledForests, compile_forests, vote_counts
+from .forest import CompiledForests, stack_forests, vote_counts
 from .ingest import OperationalRecord, parse_operational_row
 from .manifest import Manifest
 from .model_io import FORMAT_VERSION, ModelBundle, bundle_path, load_model
@@ -90,6 +111,7 @@ STOPPED = "Stopped"
 
 BACKOFF_INITIAL = 0.1  # seconds a turbine sits out after its first StorageFailure
 BACKOFF_MAX = 10.0  # the cap of the doubling wait
+SAFETY_POLL_S = 1.0  # longest wait for a publish's wake-up, in case an event is lost
 
 
 @dataclass(frozen=True)
@@ -295,7 +317,7 @@ def compile_turbine(turbine: str, per_horizon: dict[int, ModelBundle], manifest:
         except ValueError as exc:
             raise MissingModel(f"bundle ({turbine}, {h}) uses a feature missing from the manifest: {exc}")
     return TurbineModels(
-        compile_forests([per_horizon[h].forest for h in HORIZONS_MINUTES], columns, len(manifest.parameters)),
+        stack_forests([per_horizon[h].compiled for h in HORIZONS_MINUTES], columns, len(manifest.parameters)),
         {str(h): {"sha256": per_horizon[h].sha256, "created_at": format_rfc3339(per_horizon[h].created_at)}
          for h in HORIZONS_MINUTES})
 
@@ -330,6 +352,8 @@ class MonitoringAgent:
             "duplicates_skipped": 0,
             "dead_lettered": 0,
             "backoffs": 0,
+            "busy_rounds": 0,
+            "idle_rounds": 0,
         }
         self._counter_lock = threading.Lock()
         self.fatal_error: str | None = None
@@ -338,6 +362,12 @@ class MonitoringAgent:
         self._backoff: dict[str, tuple[float, float]] = {}
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
+        # how the consumer thread waits between idle rounds: "inotify" or
+        # "timer" (None until run_threaded); with inotify, stop() writes the
+        # eventfd ``_wake_fd`` under ``_wake_lock``, which its thread closes
+        self.wake: str | None = None
+        self._wake_fd: int | None = None
+        self._wake_lock = threading.Lock()
 
         # dedupe index rebuilt from the sink: the sink is the durable record
         self._seen, self.sink_index = index_sink(sink.path)
@@ -398,6 +428,7 @@ class MonitoringAgent:
             "turbines": list(self.turbines),
             "counters": counters,
             "fatal_error": self.fatal_error,
+            "wake": self.wake,
             "models": {turbine: self._models[turbine].provenance for turbine in self.turbines},
             "sink_index": dict(self.sink_index),
         }
@@ -493,6 +524,7 @@ class MonitoringAgent:
             else:
                 self._backoff.pop(turbine, None)
         if not polled:
+            self._bump("idle_rounds")
             return 0
         lines: list[str] = []
         dead: list[str] = []
@@ -528,11 +560,14 @@ class MonitoringAgent:
         except StorageFailure:
             for msgs in polled:
                 self._back_off(msgs[0].topic)
+            self._bump("idle_rounds")
             return 0
         for msgs in polled:
             self._backoff.pop(msgs[0].topic, None)
         handled = sum(len(msgs) for msgs in polled)
-        self._bump("processed", handled)
+        with self._counter_lock:
+            self.counters["processed"] += handled
+            self.counters["busy_rounds"] += 1
         return handled
 
     def process_available(self) -> int:
@@ -545,28 +580,72 @@ class MonitoringAgent:
 
     # -- consumer thread -------------------------------------------------------
 
-    def _consume(self) -> None:
+    def _open_wake(self) -> TopicWatch | None:
+        """The inotify watch of the agent's topics, with ``_wake_fd`` open for
+        stop(); None where either is unavailable."""
         try:
+            watch = self.broker.watch(self.turbines)
+        except OSError:
+            return None
+        try:
+            self._wake_fd = os.eventfd(0, os.EFD_NONBLOCK | os.EFD_CLOEXEC)
+        except (AttributeError, OSError):
+            watch.close()
+            return None
+        return watch
+
+    def _wait_s(self) -> float:
+        """How long an idle wait may last: ``SAFETY_POLL_S``, or less until the
+        earliest backoff ends."""
+        wait = SAFETY_POLL_S
+        if self._backoff:
+            wait = min(wait, min(until for until, _ in self._backoff.values()) - time.monotonic())
+        return max(wait, 0.0)
+
+    def _consume(self, watch: TopicWatch | None) -> None:
+        try:
+            if watch is not None:
+                poller = select.poll()
+                poller.register(watch, select.POLLIN)
+                poller.register(self._wake_fd, select.POLLIN)
             while not self._stop.is_set():
-                if self._drain_round() == 0:
+                if watch is not None:
+                    watch.drain()  # what its events announced, this round reads
+                if self._drain_round():
+                    continue
+                if watch is None:
                     self._stop.wait(self.idle_poll_interval)
+                else:
+                    poller.poll(math.ceil(self._wait_s() * 1000))
         except Exception as exc:
             self.fatal_error = f"{type(exc).__name__}: {exc}"
             self._stop.set()
+        finally:
+            if watch is not None:
+                with self._wake_lock:
+                    watch.close()
+                    os.close(self._wake_fd)
+                    self._wake_fd = None
 
     def run_threaded(self) -> None:
         """Start the one consumer thread, ``agent-loop``: it repeats the round
-        of ``process_available``, waiting ``idle_poll_interval`` after one that
-        handled nothing, until stop(). Backoff and what stops the agent: see
-        the module docstring."""
+        of ``process_available`` until stop(), waiting for a publish after a
+        round that handled nothing (the module docstring says how). Backoff
+        and what stops the agent: see the module docstring. The thread
+        closes the descriptors it waits on when it ends."""
         if self._thread is not None:
             raise RuntimeError("agent already running")
         self._stop.clear()
-        self._thread = threading.Thread(target=self._consume, name="agent-loop", daemon=True)
+        watch = self._open_wake()
+        self.wake = "timer" if watch is None else "inotify"
+        self._thread = threading.Thread(target=self._consume, args=(watch,), name="agent-loop", daemon=True)
         self._thread.start()
 
     def stop(self) -> None:
         self._stop.set()
+        with self._wake_lock:
+            if self._wake_fd is not None:
+                os.eventfd_write(self._wake_fd, 1)
         if self._thread is not None:
             self._thread.join(timeout=10.0)
             self._thread = None

@@ -42,6 +42,14 @@ if it grew; a missing segment holds no frame yet. A poll whose committed
 offset has then reached the next offset returns at once, so an idle poll
 makes one stat and opens no file.
 
+A reader need not poll to learn that a frame landed: ``Broker.watch(topics)``
+opens one inotify(7) descriptor, reached through ``ctypes`` on libc, that
+watches each topic's ``segments/`` directory for ``IN_MODIFY | IN_CREATE``.
+A publish by any handle or process on the machine (its create and its
+append) makes it readable. inotify sees only writes made through this
+machine's kernel to a local filesystem; where it is missing, or the
+per-user instance or watch limit is reached, ``watch`` raises ``OSError``.
+
 Appends to one topic are serialized by a lock and commits by the flock;
 polls are independent. The intended deployment is one publisher process and
 one consumer process per topic sharing the directory.
@@ -49,6 +57,8 @@ one consumer process per topic sharing the directory.
 
 from __future__ import annotations
 
+import ctypes
+import errno
 import json
 import os
 import struct
@@ -68,6 +78,8 @@ _FRAME_HEADER = struct.Struct("<IIQd")  # payload len, crc32(payload), offset, p
 SEGMENT_NAME = "00000000000000000000.log"  # a topic's one segment: the name of the first one older builds rolled
 GROUPS_DIR = "@groups"
 OFFSETS_LOG_BYTES = 64 * 1024  # a group's offsets log is compacted past this size
+_IN_MODIFY, _IN_CREATE = 0x2, 0x100  # inotify(7) event bits: a file written, an entry made
+_EVENTS_BYTES = 4096  # read size when draining a watch; holds at least one whole event
 
 
 @dataclass(frozen=True)
@@ -178,6 +190,52 @@ def _frames(fh, pos: int, end: int):
         pos = next_pos
 
 
+class TopicWatch:
+    """An inotify descriptor over topics' ``segments/`` directories that
+    becomes readable when a frame lands in any of them (module docstring).
+    Wait on ``fileno()``, ``drain()`` it before reading the topics, and
+    ``close()`` it when done."""
+
+    def __init__(self, directories: list[Path]):
+        libc = ctypes.CDLL(None, use_errno=True)
+        try:
+            init1, add_watch = libc.inotify_init1, libc.inotify_add_watch
+        except AttributeError:
+            raise OSError(errno.ENOSYS, "inotify is not available") from None
+        init1.argtypes, init1.restype = (ctypes.c_int,), ctypes.c_int
+        add_watch.argtypes, add_watch.restype = (ctypes.c_int, ctypes.c_char_p, ctypes.c_uint32), ctypes.c_int
+        fd = init1(os.O_NONBLOCK | os.O_CLOEXEC)  # inotify's IN_NONBLOCK and IN_CLOEXEC
+        if fd < 0:
+            code = ctypes.get_errno()
+            raise OSError(code, f"inotify_init1: {os.strerror(code)}")
+        try:
+            for directory in directories:
+                if add_watch(fd, os.fsencode(directory), _IN_MODIFY | _IN_CREATE) < 0:
+                    code = ctypes.get_errno()
+                    raise OSError(code, f"inotify_add_watch {directory}: {os.strerror(code)}")
+        except BaseException:
+            os.close(fd)
+            raise
+        self._fd = fd
+
+    def fileno(self) -> int:
+        return self._fd
+
+    def drain(self) -> None:
+        """Discard the pending events: whatever they announced, the next
+        read of the topics sees."""
+        try:
+            while os.read(self._fd, _EVENTS_BYTES):
+                pass
+        except BlockingIOError:
+            pass
+
+    def close(self) -> None:
+        if self._fd >= 0:
+            os.close(self._fd)
+            self._fd = -1
+
+
 class Broker:
     """Handle over a broker directory; all volatile state rebuilds from disk."""
 
@@ -225,6 +283,11 @@ class Broker:
                 if name not in self._topics:
                     self._topics[name] = _TopicState(name, self.root)
             return name
+
+    def watch(self, topics: list[str]) -> TopicWatch:
+        """One descriptor that wakes on a publish to any of ``topics``; raises
+        ``OSError`` where inotify is unavailable (module docstring)."""
+        return TopicWatch([self._state(topic).path.parent for topic in topics])
 
     # -- publishing -----------------------------------------------------------
 

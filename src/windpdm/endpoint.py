@@ -1,8 +1,9 @@
 """HTTP endpoint over the agent: health snapshot and a live sink stream.
 
 * ``GET /health`` returns the agent status (Ready/Degraded/Stopped), its
-  counters, the error that stopped it, if any, each bundle's provenance and
-  what the start's sink index rebuild read, as JSON.
+  counters, the error that stopped it, if any, how its consumer thread waits
+  (``wake``), each bundle's provenance and what the start's sink index
+  rebuild read, as JSON.
 * ``GET /stream?from=N`` replays the notification sink from line N as
   newline-delimited JSON and keeps the connection open, pushing every new
   notification as it lands, until the client disconnects or the server

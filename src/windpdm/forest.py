@@ -17,10 +17,12 @@ Conventions, fixed so independent reimplementations agree:
   train concurrently without changing the result.
 * Prediction: each tree votes its leaf's majority class and the forest
   returns the vote argmax, all ties breaking to the lowest class id. Scoring
-  runs over compiled arrays: ``compile_forests`` lays the trees of one or
-  more forests out as flat node arrays (``feature``, ``threshold``,
-  ``children``, ``leaf_class`` and each tree's root), taking every leaf's
-  class with one argmax per forest; ``vote_counts`` starts every (row, tree)
+  runs over compiled arrays: ``compile_forest`` lays one forest's trees out
+  as flat node arrays (``feature``, ``threshold``, ``children``,
+  ``leaf_class`` and each tree's root), taking every leaf's class with one
+  argmax, and refuses a forest the walk could not score;
+  ``stack_forests`` joins compiled forests into one set, each reading its
+  own columns of a wider row; ``vote_counts`` starts every (row, tree)
   pair at its tree's root, steps the pairs still at an inner node down one
   level at a time, each step one lookup in ``children``, and counts the
   leaves' classes with one ``bincount``. ``predict``, ``predict_batch``
@@ -265,49 +267,84 @@ class CompiledForests:
     n_trees: tuple[int, ...]  # per forest
 
 
-def compile_forests(
-    forests: Sequence[RandomForest],
+def compile_forest(f: RandomForest) -> CompiledForests:
+    """One forest's trees as node arrays that read its own features, built in
+    bulk: one array per tree field for the whole forest, not a Python step
+    per node. Raises ValueError (TypeError or OverflowError for an item numpy
+    cannot read as a number) for a forest the walk could not score:
+
+    * no trees, ``n_trees`` other than their count, or no classes;
+    * a tree with no node, or whose five fields differ in length;
+    * a feature index that is neither LEAF nor below ``f.n_features``;
+    * an inner node whose children are not past it inside its tree, where a
+      walk could leave the tree or never end, or a leaf whose children are
+      neither LEAF nor inside its tree;
+    * leaves that do not each hold one class count per class.
+    """
+    trees, n_classes = f.trees, len(f.class_ids)
+    if not trees or f.n_trees != len(trees) or not n_classes:
+        raise ValueError(f"a forest of {f.n_trees} trees holds {len(trees)}, over {n_classes} classes")
+    # per field, each tree's list
+    per_tree = [list(map(attrgetter(name), trees)) for name in ("feature", "threshold", "left", "right", "counts")]
+    sizes = list(map(len, per_tree[0]))
+    if 0 in sizes or any(list(map(len, lists)) != sizes for lists in per_tree[1:]):
+        raise ValueError("a tree has no node, or fields of different lengths")
+    n = sum(sizes)
+    feature, threshold, left, right = (np.fromiter(chain.from_iterable(lists), dtype, n)
+                                       for lists, dtype in zip(per_tree, (np.intp, np.float64, np.intp, np.intp)))
+    if ((feature < LEAF) | (feature >= f.n_features)).any():
+        raise ValueError(f"a feature index is neither {LEAF} nor below {f.n_features}")
+    roots = np.cumsum([0] + sizes[:-1], dtype=np.intp)
+    node = np.arange(n)
+    shift = np.repeat(roots, sizes)  # a tree's node i is node root + i of the forest
+    size = np.repeat(sizes, sizes)
+    at_leaf = feature == LEAF
+    for child in (left, right):
+        inside = (child < size) & np.where(at_leaf, child >= 0, child > node - shift)
+        if not (inside | (at_leaf & (child == LEAF))).all():
+            raise ValueError("an inner node's child is not past it in its tree, or a leaf's neither LEAF nor in it")
+    # the leaves' class counts in node order; an inner node's are None
+    leaf_counts = list(filter(None, chain.from_iterable(per_tree[4])))
+    if len(leaf_counts) != np.count_nonzero(at_leaf) or not {n_classes}.issuperset(map(len, leaf_counts)):
+        raise ValueError(f"the leaves do not each hold {n_classes} class counts")
+    counts = np.fromiter(chain.from_iterable(leaf_counts), np.int64, len(leaf_counts) * n_classes)
+    leaf_class = np.zeros(n, dtype=np.int32)
+    leaf_class[at_leaf] = counts.reshape(-1, n_classes).argmax(axis=1)
+    children = np.column_stack([np.where(at_leaf, node, child + shift) for child in (left, right)]).ravel()
+    return CompiledForests(feature.astype(np.int32), threshold, children, leaf_class, roots, f.n_features,
+                           (f.class_ids,), (f.n_trees,))
+
+
+def stack_forests(
+    parts: Sequence[CompiledForests],
     columns: Sequence[Sequence[int]] | None = None,
     n_features: int | None = None,
 ) -> CompiledForests:
-    """Stack ``forests`` into one node array set, built once per forest.
+    """Stack forests compiled one by one (``compile_forest``) into one node
+    array set, with array operations only.
 
-    ``columns[i][j]`` is the input column that forest i's feature j reads,
-    and ``n_features`` (required with ``columns``) the input width; by
-    default each forest reads its own features, so the forests must share a
-    width.
+    ``columns[i][j]`` is the input column that part i's feature j reads, one
+    per feature of the part, and ``n_features`` (required with ``columns``)
+    the input width; by default each part reads its own features, so the
+    parts must share a width.
     """
     if columns is None:
-        columns = [range(f.n_features) for f in forests]
-        n_features = forests[0].n_features
-    parts = []
+        columns = [range(part.n_features) for part in parts]
+        n_features = parts[0].n_features
+    stacked = []
     offset = first_class = 0
-    for f, cols in zip(forests, columns):
-        sizes = [len(t.feature) for t in f.trees]
-        roots = offset + np.cumsum([0] + sizes, dtype=np.intp)[:-1]
-        node = np.arange(offset, offset + sum(sizes))
-        shift = np.repeat(roots, sizes)  # a tree's node i is node root + i of the set
-
-        def flat(field: str, dtype) -> np.ndarray:
-            return np.fromiter(chain.from_iterable(map(attrgetter(field), f.trees)), dtype, node.size)
-
-        feature = flat("feature", np.int32)
+    for part, cols in zip(parts, columns):
+        if len(cols) != part.n_features:
+            raise ValueError(f"{len(cols)} columns given for a forest of {part.n_features} features")
         # LEAF (-1) picks the appended last entry, so leaves stay LEAF
-        feature = np.append(np.asarray(cols, dtype=np.int32), np.int32(LEAF))[feature]
-        # the leaves' class counts in node order; an inner node's are None
-        counts = filter(None, chain.from_iterable(map(attrgetter("counts"), f.trees)))
-        leaf_counts = np.fromiter(chain.from_iterable(counts), np.int64).reshape(-1, len(f.class_ids))
-        at_leaf = feature == LEAF
-        leaf_class = np.zeros(feature.size, dtype=np.int32)
-        leaf_class[at_leaf] = first_class + leaf_counts.argmax(axis=1)
-        children = np.column_stack([np.where(at_leaf, node, flat(side, np.intp) + shift)
-                                    for side in ("left", "right")]).ravel()
-        parts.append((feature, flat("threshold", np.float64), children, leaf_class, roots))
-        offset += node.size
-        first_class += len(f.class_ids)
-    feature, threshold, children, leaf_class, roots = (np.concatenate(arrays) for arrays in zip(*parts))
+        feature = np.append(np.asarray(cols, dtype=np.int32), np.int32(LEAF))[part.feature]
+        stacked.append((feature, part.threshold, part.children + offset, part.leaf_class + first_class,
+                        part.roots + offset))
+        offset += part.feature.size
+        first_class += sum(map(len, part.class_ids))
+    feature, threshold, children, leaf_class, roots = (np.concatenate(arrays) for arrays in zip(*stacked))
     return CompiledForests(feature, threshold, children, leaf_class, roots, n_features,
-                           tuple(f.class_ids for f in forests), tuple(f.n_trees for f in forests))
+                           sum((part.class_ids for part in parts), ()), sum((part.n_trees for part in parts), ()))
 
 
 def vote_counts(c: CompiledForests, X: np.ndarray) -> list[np.ndarray]:
@@ -353,11 +390,11 @@ def _check_rows(f: RandomForest, X) -> np.ndarray:
 
 def predict(f: RandomForest, x) -> tuple[int, list[int]]:
     """(winning class id, votes per class aligned to f.class_ids)."""
-    votes = vote_counts(compile_forests([f]), _check_rows(f, [x]))[0][0]
+    votes = vote_counts(compile_forest(f), _check_rows(f, [x]))[0][0]
     return f.class_ids[int(votes.argmax())], votes.tolist()
 
 
 def predict_batch(f: RandomForest, X: np.ndarray) -> np.ndarray:
     """Class ids for each row of X."""
-    votes = vote_counts(compile_forests([f]), _check_rows(f, X))[0]
+    votes = vote_counts(compile_forest(f), _check_rows(f, X))[0]
     return np.asarray(f.class_ids, dtype=np.int64)[votes.argmax(axis=1)]

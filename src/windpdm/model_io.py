@@ -8,8 +8,12 @@ provenance. On disk it is a length-prefixed, checksummed, versioned binary:
     | payload (canonical JSON, UTF-8) | sha256(payload)
 
 Identical bundles serialize to identical bytes, which is what makes seeded
-training runs reproducible file-for-file. ``dump_text`` renders a bundle as
-a human-readable tree listing for inspection.
+training runs reproducible file-for-file. Reading a bundle compiles its
+forest for scoring (``ModelBundle.compiled``), so a payload that passes its
+checksum but holds fields of the wrong kind, child indexes outside their
+tree or a width its feature names do not match raises ``CorruptModel`` like
+a torn one. ``dump_text`` renders a bundle as a human-readable tree listing
+for inspection.
 """
 
 from __future__ import annotations
@@ -18,17 +22,21 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 from .durable import atomic_write
 from .errors import CorruptModel, VersionMismatch
-from .forest import LEAF, DecisionTree, RandomForest
+from .forest import LEAF, CompiledForests, DecisionTree, RandomForest, compile_forest
 from .patterns import StatusPattern
 from .timeutil import format_rfc3339
 
 MAGIC = b"WPDM"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sIQ")
+_TREE_FIELDS = itemgetter("feature", "threshold", "left", "right", "counts")
 
 
 @dataclass
@@ -42,6 +50,12 @@ class ModelBundle:
     # hex sha256 of the payload it was read from (the file's trailing
     # checksum); None for a bundle built in memory
     sha256: str | None = field(default=None, compare=False)
+
+    @cached_property
+    def compiled(self) -> CompiledForests:
+        """The forest compiled for scoring, reading its own features: built
+        once, when a bundle is read (which checks it), else at first use."""
+        return compile_forest(self.forest)
 
 
 def bundle_path(models_dir: Path, turbine_id: str, horizon_minutes: int) -> Path:
@@ -117,16 +131,10 @@ def deserialize_model(blob: bytes, source: str = "<bytes>") -> ModelBundle:
         raise CorruptModel(f"{source}: undecodable payload: {exc}") from None
     try:  # a payload that passes the checksum but holds no bundle object
         fdoc = doc["forest"]
-        trees = [
-            DecisionTree(
-                feature=t["feature"],
-                threshold=t["threshold"],
-                left=t["left"],
-                right=t["right"],
-                counts=t["counts"],
-            )
-            for t in fdoc["trees"]
-        ]
+        fields = list(map(_TREE_FIELDS, fdoc["trees"]))  # each tree's, in DecisionTree's order
+        if not {list}.issuperset(map(type, chain.from_iterable(fields))):
+            raise ValueError("a tree field is no list")
+        trees = [DecisionTree(*tree) for tree in fields]
         forest = RandomForest(
             trees=trees,
             n_trees=fdoc["n_trees"],
@@ -141,7 +149,7 @@ def deserialize_model(blob: bytes, source: str = "<bytes>") -> ModelBundle:
             StatusPattern(p["pattern_id"], frozenset(p["alarms"]), p["support"])
             for p in doc["patterns"]
         ]
-        return ModelBundle(
+        bundle = ModelBundle(
             turbine_id=doc["turbine_id"],
             horizon_minutes=doc["horizon_minutes"],
             forest=forest,
@@ -150,7 +158,13 @@ def deserialize_model(blob: bytes, source: str = "<bytes>") -> ModelBundle:
             created_at=doc["created_at"],
             sha256=digest.hex(),
         )
-    except (KeyError, TypeError) as exc:
+        if not (type(forest.class_ids) is list and {int}.issuperset(map(type, forest.class_ids))
+                and type(forest.n_features) is int and type(bundle.feature_names) is list
+                and len(bundle.feature_names) == forest.n_features):
+            raise ValueError("class_ids are no integers, or n_features does not count feature_names")
+        bundle.compiled  # compiling checks the trees
+        return bundle
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorruptModel(f"{source}: payload is no model bundle: {exc!r}") from None
 
 

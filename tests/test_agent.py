@@ -1,7 +1,9 @@
+import errno
 import hashlib
 import http.client
 import json
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -881,3 +883,120 @@ class TestSinkIndex:
         (tmp / "sink" / SINK_FILENAME).write_bytes(note_line("T1", T0).encode() + b"\n\xff\xfe\n")
         with pytest.raises(UnicodeDecodeError):
             MonitoringAgent.start(tmp / "models", broker, list(manifest.turbines), tmp / "sink", manifest)
+
+
+def _wait_for(predicate, timeout):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.005)
+    return predicate()
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestWake:
+    """The consumer thread waits on the broker's inotify watch between idle
+    rounds: a publish wakes it, stop() ends the wait, and the timer remains
+    where inotify does not."""
+
+    @pytest.fixture
+    def slow_safety(self, monkeypatch):
+        # a wake-up within the test's time cannot then come from the safety round
+        monkeypatch.setattr(agent_mod, "SAFETY_POLL_S", 60.0)
+
+    def test_publish_from_another_process_wakes_the_agent(self, rig, slow_safety):
+        agent, _, _, tmp = rig
+        sink_file = tmp / "sink" / SINK_FILENAME
+        agent.run_threaded()
+        try:
+            assert agent.health()["wake"] == "inotify"
+            assert _wait_for(lambda: agent.counters["idle_rounds"] >= 1, 5.0)
+            src = os.path.dirname(os.path.dirname(agent_mod.__file__))
+            publisher = (f"import sys; sys.path.insert(0, {src!r}); from windpdm.broker import Broker; "
+                         f"Broker({str(tmp / 'broker')!r}).publish('T1', {row_payload(T0)!r})")
+            begin = time.monotonic()
+            subprocess.run([sys.executable, "-c", publisher], check=True, timeout=30)
+            assert _wait_for(lambda: sink_file.read_text().strip(), 5.0)
+            elapsed = time.monotonic() - begin
+            counters = agent.health()["counters"]
+        finally:
+            agent.stop()
+        assert elapsed < 5.0
+        assert counters["notifications"] == 1
+        assert counters["busy_rounds"] >= 1 and counters["idle_rounds"] >= 1
+
+    def test_stop_ends_a_blocked_wait_at_once(self, rig, slow_safety):
+        agent, _, _, _ = rig
+        agent.run_threaded()
+        assert _wait_for(lambda: agent.counters["idle_rounds"] >= 1, 5.0)
+        time.sleep(0.05)  # the thread is in its wait
+        begin = time.monotonic()
+        agent.stop()
+        assert time.monotonic() - begin < 0.5
+        assert agent.status == STOPPED
+
+    def test_no_descriptor_outlives_stop(self, rig, slow_safety):
+        agent, broker, _, _ = rig
+        before = _open_fds()
+        agent.run_threaded()
+        assert agent.health()["wake"] == "inotify"
+        broker.publish("T1", row_payload(T0))
+        assert _wait_for(lambda: agent.counters["notifications"] == 1, 5.0)
+        agent.stop()
+        assert _open_fds() == before
+
+    def test_start_and_stop_race_leaks_no_descriptor(self, rig):
+        agent, broker, _, _ = rig
+        before = _open_fds()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for i in range(20):
+                agent.run_threaded()
+                if i % 2:
+                    broker.publish("T1", row_payload(T0 + i * 600))
+                agent.stop()
+        finally:
+            sys.setswitchinterval(interval)
+        assert _open_fds() == before
+        assert not [t for t in threading.enumerate() if t.name == "agent-loop"]
+
+    def test_timer_serves_where_the_watch_is_unavailable(self, rig, slow_safety, monkeypatch):
+        agent, broker, _, tmp = rig
+
+        def unavailable(topics):
+            raise OSError(errno.EMFILE, "too many inotify instances")
+
+        monkeypatch.setattr(broker, "watch", unavailable)
+        before = _open_fds()
+        agent.run_threaded()
+        try:
+            assert agent.health()["wake"] == "timer"
+            assert _wait_for(lambda: agent.counters["idle_rounds"] >= 1, 5.0)
+            broker.publish("T1", row_payload(T0))
+            # idle_poll_interval is 0.005 s: far inside the safety interval
+            assert _wait_for(lambda: agent.counters["notifications"] == 1, 5.0)
+        finally:
+            agent.stop()
+        assert _open_fds() == before
+
+    def test_backoff_retry_is_not_held_to_the_safety_interval(self, rig, slow_safety):
+        agent, broker, _, _ = rig
+        flaky = FaultyBroker(broker)
+        agent.broker = flaky
+        broker.publish("T1", row_payload(T0))  # before the watch opens: no event announces it
+        flaky.pause_for(30, topics={"T1"})
+        agent.run_threaded()
+        try:
+            begin = time.monotonic()
+            assert _wait_for(lambda: agent.counters["notifications"] == 1, 5.0)
+            elapsed = time.monotonic() - begin
+        finally:
+            agent.stop()
+        assert agent.counters["backoffs"] >= 1
+        # a few backoff waits (BACKOFF_INITIAL doubling, capped at BACKOFF_MAX), not one safety interval
+        assert elapsed < 2.0

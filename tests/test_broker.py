@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import select
 import subprocess
 import sys
 import threading
@@ -660,3 +661,28 @@ class TestAtLeastOnceHarness:
                 if off in seen:
                     assert off in redelivery_allowed, f"schedule {schedule}: offset {off}"
                 seen.add(off)
+
+
+class TestWatch:
+    def test_publish_by_another_handle_makes_the_watch_readable(self, tmp_path):
+        reader = Broker(tmp_path / "b")
+        reader.create_topic("T1")
+        reader.create_topic("T2")
+        watch = reader.watch(["T1"])
+        try:
+            assert select.select([watch], [], [], 0.05)[0] == []
+            Broker(tmp_path / "b").publish("T1", b"first")  # creates the segment
+            assert select.select([watch], [], [], 2.0)[0] == [watch]
+            watch.drain()
+            assert select.select([watch], [], [], 0.05)[0] == []
+            Broker(tmp_path / "b").publish("T1", b"second")  # appends to it
+            assert select.select([watch], [], [], 2.0)[0] == [watch]
+            watch.drain()
+            Broker(tmp_path / "b").publish("T2", b"unwatched")
+            assert select.select([watch], [], [], 0.05)[0] == []
+        finally:
+            watch.close()
+
+    def test_watch_of_an_unknown_topic_raises(self, broker):
+        with pytest.raises(UnknownTopic):
+            broker.watch(["nope"])

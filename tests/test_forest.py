@@ -6,11 +6,12 @@ from windpdm.forest import (
     LEAF,
     DecisionTree,
     RandomForest,
-    compile_forests,
+    compile_forest,
     vote_counts,
     default_features_per_split,
     predict,
     predict_batch,
+    stack_forests,
     train_forest,
     train_tree,
 )
@@ -258,7 +259,7 @@ class TestCompiledWalk:
                                  leaf_tree([0] * (n_classes - 1) + [2])]
         forest = hand_forest(trees, list(range(10, 10 + n_classes)), 3)
         assert max(t.depth() for t in forest.trees) == 25
-        compiled = compile_forests([forest])
+        compiled = compile_forest(forest)
         queries = np.vstack([rng.normal(size=(257, 3)), np.arange(-1.0, 26.0)[:, None].repeat(3, axis=1)])
         for n in (1, 2, 257, len(queries)):
             votes = vote_counts(compiled, queries[:n])
@@ -267,7 +268,7 @@ class TestCompiledWalk:
 
     def test_zero_rows(self):
         forest = hand_forest([leaf_tree([0, 1])], [0, 1], 2)
-        assert vote_counts(compile_forests([forest]), np.empty((0, 2)))[0].shape == (0, 2)
+        assert vote_counts(compile_forest(forest), np.empty((0, 2)))[0].shape == (0, 2)
         assert predict_batch(forest, np.empty((0, 2))).tolist() == []
 
     def test_six_forest_stack_equals_six_predicts(self):
@@ -284,7 +285,7 @@ class TestCompiledWalk:
         # a forest of two trees whose votes tie 1-1 on every row: the lowest class wins
         forests.append(hand_forest([leaf_tree([0, 0, 3]), leaf_tree([0, 3, 0])], [5, 6, 7], 1))
         columns.append([2])
-        stack = compile_forests(forests, columns, 5)
+        stack = stack_forests([compile_forest(f) for f in forests], columns, 5)
         rows = rng.normal(size=(33, 5))
         for n in (1, 2, 33):
             votes = vote_counts(stack, rows[:n])

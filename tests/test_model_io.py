@@ -1,22 +1,29 @@
+import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
-from windpdm.errors import CorruptModel, VersionMismatch
-from windpdm.forest import predict, train_forest
+from windpdm.agent import MonitoringAgent
+from windpdm.broker import Broker
+from windpdm.cli import main
+from windpdm.errors import CorruptModel, MissingModel, VersionMismatch
+from windpdm.forest import LEAF, predict, train_forest
+from windpdm.manifest import Manifest
 from windpdm.model_io import (
     _HEADER,
     FORMAT_VERSION,
     MAGIC,
     ModelBundle,
+    bundle_path,
     deserialize_model,
     dump_text,
     load_model,
     save_model,
     serialize_model,
 )
-from windpdm.patterns import StatusPattern
+from windpdm.patterns import HORIZONS_MINUTES, StatusPattern
 
 
 @pytest.fixture
@@ -130,3 +137,73 @@ class TestDump:
         path = tmp_path / "m.model"
         save_model(bundle, path)
         assert path.read_bytes() == serialize_model(bundle)
+
+
+def _rechecksummed(bundle, mutate) -> bytes:
+    """``bundle``'s bytes with ``mutate(doc)`` applied to its payload, which
+    keeps a valid checksum: only the payload check can refuse it."""
+    doc = json.loads(serialize_model(bundle)[_HEADER.size:-32])
+    mutate(doc)
+    payload = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    return _HEADER.pack(MAGIC, FORMAT_VERSION, len(payload)) + payload + hashlib.sha256(payload).digest()
+
+
+def _first_leaf(tree):
+    return tree["feature"].index(LEAF)
+
+
+def _set(field, index, value):
+    def mutate(doc):
+        tree = doc["forest"]["trees"][0]
+        tree[field][index if index is not None else _first_leaf(tree)] = value
+    return mutate
+
+
+CORRUPT_TREES = {
+    "non-numeric feature": lambda doc: doc["forest"]["trees"].__setitem__(0, {
+        "feature": ["abc", -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, -1, -1],
+        "right": [2, -1, -1], "counts": [None, [1, 0, 0], [0, 1, 0]]}),
+    "non-numeric threshold": _set("threshold", 0, "high"),
+    "child past its tree": _set("left", 0, 10_000),
+    "child before its node": _set("right", 0, 0),
+    "leaf child outside its tree": _set("left", None, -5),
+    "feature past the width": _set("feature", 0, 4),
+    "leaf without counts": _set("counts", None, None),
+    "leaf counts of another width": _set("counts", None, [1, 2]),
+    "fields of different lengths": lambda doc: doc["forest"]["trees"][1]["threshold"].pop(),
+    "field that is no list": lambda doc: doc["forest"]["trees"][0].__setitem__("left", "abc"),
+    "width that does not count the names": lambda doc: doc["feature_names"].pop(),
+}
+
+
+class TestCheckedTrees:
+    @pytest.mark.parametrize("case", sorted(CORRUPT_TREES))
+    def test_checksummed_tree_that_scoring_cannot_walk_is_corrupt(self, bundle, case):
+        blob = _rechecksummed(bundle, CORRUPT_TREES[case])
+        with pytest.raises(CorruptModel, match="no model bundle"):
+            deserialize_model(blob, source="m.model")
+
+    def test_untouched_payload_loads_with_its_forest_compiled(self, bundle):
+        loaded = deserialize_model(_rechecksummed(bundle, lambda doc: None))
+        assert loaded == bundle
+        x = [0.3, -1.2, 0.8, 0.1]
+        assert predict(loaded.forest, x) == predict(bundle.forest, x)
+        assert loaded.compiled.roots.size == bundle.forest.n_trees
+
+    def test_agent_start_reports_a_corrupt_tree_as_a_gap(self, bundle, tmp_path):
+        manifest = Manifest(parameters=bundle.feature_names, alarms=["GOverSpMax"], turbines=["T03"])
+        models = tmp_path / "models"
+        for h in HORIZONS_MINUTES:
+            path = bundle_path(models, "T03", h)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            save_model(dataclasses.replace(bundle, horizon_minutes=h), path)
+        bundle_path(models, "T03", 30).write_bytes(
+            _rechecksummed(bundle, CORRUPT_TREES["non-numeric feature"]))
+        with pytest.raises(MissingModel, match="horizon_30.model: payload is no model bundle"):
+            MonitoringAgent.start(models, Broker(tmp_path / "broker"), ["T03"], tmp_path / "sink", manifest)
+
+    def test_evaluate_reports_a_corrupt_tree_as_a_data_error(self, bundle, tmp_path, capsys):
+        model = tmp_path / "m.model"
+        model.write_bytes(_rechecksummed(bundle, CORRUPT_TREES["child past its tree"]))
+        assert main(["evaluate", "--model", str(model), "--dump"]) == 2
+        assert "error: data:" in capsys.readouterr().err
