@@ -30,16 +30,19 @@ nothing new opens no file: a round that finds nothing costs one stat per
 turbine.
 
 Between rounds the thread does not poll on a timer. After a round that
-handled nothing it blocks on the broker's inotify watch of its topics
-(``Broker.watch``), so a publish from any process wakes it at once; it
-drains the watch before each round, so a burst of frames costs one round.
+filled no batch (none reached ``max_batch``, so no topic was left with
+messages the round did not take) it blocks on the broker's inotify watch of
+its topics (``Broker.watch``), so a publish from any process wakes it at
+once; it drains the watch before each round, so a burst of frames costs one
+round, and a publish made during a round ends the wait that follows at once.
+Only after a full batch does it start the next round without waiting.
 The wait ends after ``SAFETY_POLL_S`` in case an event was lost, or sooner
 when the earliest turbine's backoff ends, and ``stop()`` ends it at once
 through an eventfd. inotify sees only writes to a local filesystem made on
 this machine; a frame written any other way is picked up by the safety
 round, up to ``SAFETY_POLL_S`` late. Where inotify or eventfd is unavailable
 (no such libc symbol, ``ENOSYS``, or ``EMFILE`` once the per-user inotify
-instances run out), the thread waits ``idle_poll_interval`` after each idle
+instances run out), the thread waits ``idle_poll_interval`` after each such
 round instead. ``/health`` names the path in use (``wake``: ``inotify`` or
 ``timer``) and counts ``busy_rounds`` and ``idle_rounds``, the rounds that
 handled messages and those that handled none.
@@ -362,7 +365,7 @@ class MonitoringAgent:
         self._backoff: dict[str, tuple[float, float]] = {}
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
-        # how the consumer thread waits between idle rounds: "inotify" or
+        # how the consumer thread waits for a publish: "inotify" or
         # "timer" (None until run_threaded); with inotify, stop() writes the
         # eventfd ``_wake_fd`` under ``_wake_lock``, which its thread closes
         self.wake: str | None = None
@@ -501,13 +504,15 @@ class MonitoringAgent:
         self._backoff[turbine] = (time.monotonic() + wait, min(wait * 2.0, BACKOFF_MAX))
         self._bump("backoffs")
 
-    def _drain_round(self) -> int:
+    def _drain_round(self) -> tuple[int, bool]:
         """Poll each turbine not in backoff once, in sorted order, append the
         round's notifications in one fsynced write (one wake-up of /stream),
         THEN commit the round's turbines in one write; the sink-derived dedupe
-        index covers a crash in between. Returns messages committed. A
-        StorageFailure backs off the turbine it came from, or all of the
-        round's if the commit raised it; anything else propagates."""
+        index covers a crash in between. Returns the messages committed and
+        whether a committed batch was full (``max_batch`` messages), so its
+        topic may hold more. A StorageFailure backs off the turbine it came
+        from, or all of the round's if the commit raised it; anything else
+        propagates."""
         polled: list[list[Message]] = []
         for turbine in self.turbines:
             if self._stop.is_set():
@@ -525,7 +530,7 @@ class MonitoringAgent:
                 self._backoff.pop(turbine, None)
         if not polled:
             self._bump("idle_rounds")
-            return 0
+            return 0, False
         lines: list[str] = []
         dead: list[str] = []
         keys: list[tuple[str, int]] = []
@@ -561,20 +566,20 @@ class MonitoringAgent:
             for msgs in polled:
                 self._back_off(msgs[0].topic)
             self._bump("idle_rounds")
-            return 0
+            return 0, False
         for msgs in polled:
             self._backoff.pop(msgs[0].topic, None)
         handled = sum(len(msgs) for msgs in polled)
         with self._counter_lock:
             self.counters["processed"] += handled
             self.counters["busy_rounds"] += 1
-        return handled
+        return handled, any(len(msgs) == self.max_batch for msgs in polled)
 
     def process_available(self) -> int:
         """Synchronously drain every turbine topic until a round handles
         nothing. A turbine in backoff is left for a later call."""
         total = 0
-        while handled := self._drain_round():
+        while handled := self._drain_round()[0]:
             total += handled
         return total
 
@@ -611,8 +616,11 @@ class MonitoringAgent:
             while not self._stop.is_set():
                 if watch is not None:
                     watch.drain()  # what its events announced, this round reads
-                if self._drain_round():
+                _, full = self._drain_round()
+                if full:  # its topic may hold more than one batch
                     continue
+                # no batch was full, so the round left nothing behind; a
+                # publish since watch.drain() is a pending event, and ends the wait
                 if watch is None:
                     self._stop.wait(self.idle_poll_interval)
                 else:
@@ -630,7 +638,7 @@ class MonitoringAgent:
     def run_threaded(self) -> None:
         """Start the one consumer thread, ``agent-loop``: it repeats the round
         of ``process_available`` until stop(), waiting for a publish after a
-        round that handled nothing (the module docstring says how). Backoff
+        round that filled no batch (the module docstring says how). Backoff
         and what stops the agent: see the module docstring. The thread
         closes the descriptors it waits on when it ends."""
         if self._thread is not None:

@@ -15,12 +15,16 @@ Conventions, fixed so independent reimplementations agree:
   with replacement; each tree's rng derives from (seed, tree_index), so
   training is a pure function of (rows, hyperparameters, seed) and trees may
   train concurrently without changing the result.
+* A tree is numpy node arrays from the grower on (``DecisionTree``), and a
+  forest holds one array per field for all its trees, tree after tree, with
+  each tree's node count (``RandomForest``); its ``trees`` are views cut
+  from those arrays on first use. A forest is checked once, as it is built:
+  building one that no walk could score raises ``ValueError``.
 * Prediction: each tree votes its leaf's majority class and the forest
   returns the vote argmax, all ties breaking to the lowest class id. Scoring
-  runs over compiled arrays: ``compile_forest`` lays one forest's trees out
-  as flat node arrays (``feature``, ``threshold``, ``children``,
-  ``leaf_class`` and each tree's root), taking every leaf's class with one
-  argmax, and refuses a forest the walk could not score;
+  runs over compiled arrays: ``compile_forest`` derives from a forest's
+  arrays each node's absolute ``children`` and each leaf's ``leaf_class``
+  (one argmax over the class counts) and each tree's root;
   ``stack_forests`` joins compiled forests into one set, each reading its
   own columns of a wider row; ``vote_counts`` starts every (row, tree)
   pair at its tree's root, steps the pairs still at an inner node down one
@@ -34,9 +38,8 @@ Conventions, fixed so independent reimplementations agree:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import chain
-from operator import attrgetter
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -48,15 +51,21 @@ DEFAULT_N_TREES = 40
 DEFAULT_MAX_DEPTH = 25
 
 
-@dataclass
+@dataclass(eq=False)
 class DecisionTree:
-    """Flat-array tree: node i is a leaf iff feature[i] == LEAF."""
+    """One tree's node arrays: node i is a leaf iff feature[i] == LEAF.
 
-    feature: list[int]
-    threshold: list[float]
-    left: list[int]
-    right: list[int]
-    counts: list[list[int] | None]  # per leaf, its rows per class; None at an inner node
+    ``left`` and ``right`` hold tree-local node indexes, LEAF at a leaf; a
+    node's value goes left when it is ``<= threshold``. ``counts`` is an
+    (n_nodes, n_classes) matrix of each leaf's training rows per class, zero
+    at an inner node.
+    """
+
+    feature: np.ndarray  # intp
+    threshold: np.ndarray  # float64
+    left: np.ndarray  # intp
+    right: np.ndarray  # intp
+    counts: np.ndarray  # int64
 
     def predict_index(self, x) -> int:
         """Majority class index at the leaf feature vector x reaches (ties to
@@ -64,23 +73,30 @@ class DecisionTree:
         i = 0
         while self.feature[i] != LEAF:
             i = self.left[i] if x[self.feature[i]] <= self.threshold[i] else self.right[i]
-        counts = self.counts[i]
-        return counts.index(max(counts))
+        return int(self.counts[i].argmax())
 
     def depth(self) -> int:
-        depths = [0] * len(self.feature)
-        best = 0
-        for i in range(len(self.feature)):
-            if self.feature[i] != LEAF:
-                depths[self.left[i]] = depths[i] + 1
-                depths[self.right[i]] = depths[i] + 1
-            best = max(best, depths[i])
-        return best
+        depths = np.zeros(self.feature.size, dtype=np.intp)
+        for i in np.flatnonzero(self.feature != LEAF):  # a node's children come after it
+            depths[self.left[i]] = depths[self.right[i]] = depths[i] + 1
+        return int(depths.max())
 
 
-@dataclass
+TREE_FIELDS = ("feature", "threshold", "left", "right", "counts")  # DecisionTree's, in order
+
+
+@dataclass(eq=False)
 class RandomForest:
-    trees: list[DecisionTree]
+    """A forest's trees as one array per ``DecisionTree`` field, tree after
+    tree (``left`` and ``right`` stay tree-local), and ``tree_sizes``, each
+    tree's node count. Building one checks that a walk could score it."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    counts: np.ndarray
+    tree_sizes: np.ndarray  # intp
     n_trees: int
     max_depth: int
     features_per_split: int
@@ -88,6 +104,57 @@ class RandomForest:
     seed: int
     bootstrap: bool = True
     n_features: int = 0
+
+    def __post_init__(self):
+        """Raise ValueError (or TypeError for a field numpy cannot compare)
+        for a forest the walk could not score:
+
+        * no trees, ``n_trees`` other than their count, or no classes;
+        * a tree with no node, or fields that do not hold one entry (one row
+          of ``counts``, one count per class) per node;
+        * a feature index that is neither LEAF nor below ``n_features``;
+        * an inner node whose children are not past it inside its tree, where
+          a walk could leave the tree or never end, or a leaf whose children
+          are neither LEAF nor inside its tree.
+        """
+        sizes, n_classes = self.tree_sizes, len(self.class_ids)
+        if not sizes.size or self.n_trees != sizes.size or not n_classes:
+            raise ValueError(f"a forest of {self.n_trees} trees holds {sizes.size}, over {n_classes} classes")
+        n = int(sizes.sum())
+        if (sizes < 1).any() or any(getattr(self, name).shape[:1] != (n,) for name in TREE_FIELDS) \
+                or self.counts.shape != (n, n_classes):
+            raise ValueError(f"a tree has no node, or its fields do not hold one entry per node "
+                             f"and {n_classes} class counts per node")
+        feature = self.feature
+        if ((feature < LEAF) | (feature >= self.n_features)).any():
+            raise ValueError(f"a feature index is neither {LEAF} nor below {self.n_features}")
+        node = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # tree-local
+        size = np.repeat(sizes, sizes)
+        at_leaf = feature == LEAF
+        for child in (self.left, self.right):
+            inside = (child < size) & np.where(at_leaf, child >= 0, child > node)
+            if not (inside | (at_leaf & (child == LEAF))).all():
+                raise ValueError("an inner node's child is not past it in its tree, or a leaf's neither LEAF nor in it")
+
+    @classmethod
+    def of_trees(cls, trees: Sequence[DecisionTree], **params) -> RandomForest:
+        """The forest of ``trees``, in order; ``params`` are the other fields
+        but ``n_trees``."""
+        joined = (np.concatenate([getattr(t, name) for t in trees]) for name in TREE_FIELDS)
+        sizes = np.fromiter((t.feature.size for t in trees), np.intp, len(trees))
+        return cls(*joined, sizes, n_trees=len(trees), **params)
+
+    @cached_property
+    def trees(self) -> list[DecisionTree]:
+        """Each tree as views of the forest's arrays, cut on first use."""
+        ends = np.cumsum(self.tree_sizes).tolist()
+        arrays = [getattr(self, name) for name in TREE_FIELDS]
+        return [DecisionTree(*(a[start:end] for a in arrays)) for start, end in zip([0] + ends, ends)]
+
+    def __eq__(self, other):
+        if not isinstance(other, RandomForest):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 def _best_split(x: np.ndarray, y_onehot: np.ndarray, feature_indices: np.ndarray):
@@ -156,11 +223,13 @@ def train_tree(
     onehot = np.zeros((n, n_classes), dtype=np.int64)
     onehot[np.arange(n), y_index] = 1
 
+    # the growth lists, turned into arrays once the tree is grown
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
     right: list[int] = []
-    node_counts: list[list[int] | None] = []
+    node_counts: list[np.ndarray] = []
+    no_rows = np.zeros(n_classes, dtype=np.int64)  # an inner node's counts
 
     def add_leaf(counts: np.ndarray) -> int:
         i = len(feature)
@@ -168,7 +237,7 @@ def train_tree(
         threshold.append(0.0)
         left.append(LEAF)
         right.append(LEAF)
-        node_counts.append([int(c) for c in counts])
+        node_counts.append(counts)
         return i
 
     def grow(rows: np.ndarray, depth: int) -> int:
@@ -186,13 +255,17 @@ def train_tree(
         threshold.append(thr)
         left.append(0)
         right.append(0)
-        node_counts.append(None)
+        node_counts.append(no_rows)
         left[i] = grow(rows[left_mask], depth + 1)
         right[i] = grow(rows[~left_mask], depth + 1)
         return i
 
     grow(np.arange(n), 0)
-    return DecisionTree(feature, threshold, left, right, node_counts)
+    # grow's closure holds grow itself, a cycle that would keep onehot and the
+    # rows' copy of X alive until the next cyclic collection; del breaks it
+    del grow
+    return DecisionTree(np.array(feature, dtype=np.intp), np.array(threshold, dtype=np.float64),
+                        np.array(left, dtype=np.intp), np.array(right, dtype=np.intp), np.stack(node_counts))
 
 
 def default_features_per_split(p: int) -> int:
@@ -214,6 +287,8 @@ def train_forest(
     y = np.asarray(y, dtype=np.int64)
     if X.size == 0 or y.size == 0:
         raise EmptyInput("cannot train a forest on zero rows")
+    if n_trees < 1:
+        raise EmptyInput(f"a forest needs at least one tree, not {n_trees}")
     n, p = X.shape
     if features_per_split is None:
         features_per_split = default_features_per_split(p)
@@ -230,9 +305,8 @@ def train_forest(
         else:
             rows = np.arange(n)
         trees.append(train_tree(X[rows], y_index[rows], len(class_ids), max_depth, features_per_split, rng))
-    return RandomForest(
-        trees=trees,
-        n_trees=n_trees,
+    return RandomForest.of_trees(
+        trees,
         max_depth=max_depth,
         features_per_split=features_per_split,
         class_ids=list(class_ids),
@@ -268,50 +342,17 @@ class CompiledForests:
 
 
 def compile_forest(f: RandomForest) -> CompiledForests:
-    """One forest's trees as node arrays that read its own features, built in
-    bulk: one array per tree field for the whole forest, not a Python step
-    per node. Raises ValueError (TypeError or OverflowError for an item numpy
-    cannot read as a number) for a forest the walk could not score:
-
-    * no trees, ``n_trees`` other than their count, or no classes;
-    * a tree with no node, or whose five fields differ in length;
-    * a feature index that is neither LEAF nor below ``f.n_features``;
-    * an inner node whose children are not past it inside its tree, where a
-      walk could leave the tree or never end, or a leaf whose children are
-      neither LEAF nor inside its tree;
-    * leaves that do not each hold one class count per class.
-    """
-    trees, n_classes = f.trees, len(f.class_ids)
-    if not trees or f.n_trees != len(trees) or not n_classes:
-        raise ValueError(f"a forest of {f.n_trees} trees holds {len(trees)}, over {n_classes} classes")
-    # per field, each tree's list
-    per_tree = [list(map(attrgetter(name), trees)) for name in ("feature", "threshold", "left", "right", "counts")]
-    sizes = list(map(len, per_tree[0]))
-    if 0 in sizes or any(list(map(len, lists)) != sizes for lists in per_tree[1:]):
-        raise ValueError("a tree has no node, or fields of different lengths")
-    n = sum(sizes)
-    feature, threshold, left, right = (np.fromiter(chain.from_iterable(lists), dtype, n)
-                                       for lists, dtype in zip(per_tree, (np.intp, np.float64, np.intp, np.intp)))
-    if ((feature < LEAF) | (feature >= f.n_features)).any():
-        raise ValueError(f"a feature index is neither {LEAF} nor below {f.n_features}")
-    roots = np.cumsum([0] + sizes[:-1], dtype=np.intp)
-    node = np.arange(n)
+    """One forest's trees as node arrays that read its own features, derived
+    from the forest's arrays with a few array operations."""
+    sizes = f.tree_sizes
+    roots = np.cumsum(sizes) - sizes
+    node = np.arange(f.feature.size)
     shift = np.repeat(roots, sizes)  # a tree's node i is node root + i of the forest
-    size = np.repeat(sizes, sizes)
-    at_leaf = feature == LEAF
-    for child in (left, right):
-        inside = (child < size) & np.where(at_leaf, child >= 0, child > node - shift)
-        if not (inside | (at_leaf & (child == LEAF))).all():
-            raise ValueError("an inner node's child is not past it in its tree, or a leaf's neither LEAF nor in it")
-    # the leaves' class counts in node order; an inner node's are None
-    leaf_counts = list(filter(None, chain.from_iterable(per_tree[4])))
-    if len(leaf_counts) != np.count_nonzero(at_leaf) or not {n_classes}.issuperset(map(len, leaf_counts)):
-        raise ValueError(f"the leaves do not each hold {n_classes} class counts")
-    counts = np.fromiter(chain.from_iterable(leaf_counts), np.int64, len(leaf_counts) * n_classes)
-    leaf_class = np.zeros(n, dtype=np.int32)
-    leaf_class[at_leaf] = counts.reshape(-1, n_classes).argmax(axis=1)
-    children = np.column_stack([np.where(at_leaf, node, child + shift) for child in (left, right)]).ravel()
-    return CompiledForests(feature.astype(np.int32), threshold, children, leaf_class, roots, f.n_features,
+    at_leaf = f.feature == LEAF
+    children = np.column_stack([np.where(at_leaf, node, child + shift) for child in (f.left, f.right)]).ravel()
+    # an inner node's counts are zero, so its argmax is 0, which no walk reads
+    leaf_class = f.counts.argmax(axis=1).astype(np.int32)
+    return CompiledForests(f.feature.astype(np.int32), f.threshold, children, leaf_class, roots, f.n_features,
                            (f.class_ids,), (f.n_trees,))
 
 

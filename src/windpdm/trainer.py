@@ -87,6 +87,10 @@ class TrainingPlan:
             raise PlanInvalid("plan range is empty")
         if self.start % SLOT_SECONDS or self.end % SLOT_SECONDS:
             raise PlanInvalid("plan range bounds must be 10-minute aligned")
+        if self.n_trees < 1:
+            raise PlanInvalid(f"n_trees must be at least 1, not {self.n_trees}")
+        if self.features_per_split is not None and self.features_per_split < 1:
+            raise PlanInvalid(f"features_per_split must be at least 1, not {self.features_per_split}")
         if self.created_at is None:
             self.created_at = self.end
 

@@ -899,9 +899,9 @@ def _open_fds():
 
 
 class TestWake:
-    """The consumer thread waits on the broker's inotify watch between idle
-    rounds: a publish wakes it, stop() ends the wait, and the timer remains
-    where inotify does not."""
+    """The consumer thread waits on the broker's inotify watch after a round
+    that filled no batch: a publish wakes it, stop() ends the wait, and the
+    timer remains where inotify does not."""
 
     @pytest.fixture
     def slow_safety(self, monkeypatch):
@@ -928,6 +928,24 @@ class TestWake:
         assert elapsed < 5.0
         assert counters["notifications"] == 1
         assert counters["busy_rounds"] >= 1 and counters["idle_rounds"] >= 1
+
+    def test_a_round_that_fills_no_batch_goes_straight_to_the_wait(self, rig, slow_safety):
+        """Spaced publishes cost one busy round each, not a busy and an idle one."""
+        agent, _, _, tmp = rig
+        publisher = Broker(tmp / "broker")  # a second handle, as another process would hold
+        agent.run_threaded()
+        try:
+            assert _wait_for(lambda: agent.counters["idle_rounds"] >= 1, 5.0)
+            idle_before = agent.counters["idle_rounds"]
+            for i in range(40):
+                publisher.publish(("T1", "T2")[i % 2], row_payload(T0 + (i // 2) * 600))
+                time.sleep(0.03)
+            assert _wait_for(lambda: agent.counters["notifications"] == 40, 5.0)
+            counters = agent.health()["counters"]
+        finally:
+            agent.stop()
+        assert counters["processed"] == 40
+        assert counters["idle_rounds"] - idle_before < 20
 
     def test_stop_ends_a_blocked_wait_at_once(self, rig, slow_safety):
         agent, _, _, _ = rig

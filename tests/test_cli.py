@@ -160,6 +160,14 @@ class TestPipelineCommands:
         lines = out.read_text().splitlines()
         assert len(lines) == 5
 
+    def test_zero_trees_is_a_data_error(self, trained, tmp_path, capsys):
+        dataset = trained / "datasets" / "T01" / "horizon_10.csv"
+        assert run_cli("grid-search", "--dataset", str(dataset), "--trees", "0,2", "--depth", "3",
+                       "--out", str(tmp_path / "grid.csv")) == 2
+        assert "grid cell (n_trees=0, max_depth=3)" in capsys.readouterr().err
+        assert run_cli("train", "--plan", str(tmp_path / "plan.conf"), "--n-trees", "0") == 2
+        assert "n_trees must be at least 1" in capsys.readouterr().err
+
     def test_ingest_round_trip(self, tmp_path, synth_store, capsys):
         ops = tmp_path / "ops.csv"
         store_params = (synth_store / "manifest.txt").read_text().splitlines()[0]

@@ -4,6 +4,7 @@ import pytest
 from windpdm.errors import DimensionMismatch, EmptyInput, NonFiniteFeature
 from windpdm.forest import (
     LEAF,
+    TREE_FIELDS,
     DecisionTree,
     RandomForest,
     compile_forest,
@@ -15,7 +16,7 @@ from windpdm.forest import (
     train_forest,
     train_tree,
 )
-from windpdm.model_io import ModelBundle, serialize_model
+from windpdm.model_io import ModelBundle, deserialize_model, serialize_model
 
 from oracles import brute_force_best_split
 
@@ -36,7 +37,7 @@ class TestTrainTree:
         tree = train_tree(X, y, 2, max_depth=5, features_per_split=1, rng=rng_for())
         assert len(tree.feature) == 1
         assert tree.feature[0] == LEAF
-        assert tree.counts[0] == [3, 0]
+        assert tree.counts[0].tolist() == [3, 0]
 
     def test_1d_separable_depth_one(self):
         X = np.array([[-3.0], [-1.5], [-0.5], [0.5], [2.0], [4.0]])
@@ -105,9 +106,9 @@ class TestTrainForest:
         forest = train_forest(X, y, [0, 1], n_trees=1, max_depth=6,
                               features_per_split=2, seed=5, bootstrap=False)
         tree = train_tree(X, y, 2, 6, 2, rng_for(5))
-        assert forest.trees[0].feature == tree.feature
-        assert forest.trees[0].threshold == tree.threshold
-        assert forest.trees[0].counts == tree.counts
+        assert np.array_equal(forest.trees[0].feature, tree.feature)
+        assert np.array_equal(forest.trees[0].threshold, tree.threshold)
+        assert np.array_equal(forest.trees[0].counts, tree.counts)
 
     def test_same_seed_identical_bytes(self):
         X, y = self._planted()
@@ -122,7 +123,7 @@ class TestTrainForest:
         X, y = self._planted()
         a = train_forest(X, y, [0, 1], n_trees=5, max_depth=8, seed=1)
         b = train_forest(X, y, [0, 1], n_trees=5, max_depth=8, seed=2)
-        assert any(ta.threshold != tb.threshold for ta, tb in zip(a.trees, b.trees))
+        assert any(not np.array_equal(ta.threshold, tb.threshold) for ta, tb in zip(a.trees, b.trees))
 
     def test_separable_fixture_holdout_accuracy(self):
         X, y = self._planted(n=600, seed=3)
@@ -151,10 +152,48 @@ class TestTrainForest:
         with pytest.raises(EmptyInput):
             train_forest(X, y + 5, [0, 1], n_trees=2, seed=0)
 
+    @pytest.mark.parametrize("n_trees", [0, -1])
+    def test_no_tree_is_empty_input(self, n_trees):
+        X, y = self._planted()
+        with pytest.raises(EmptyInput, match="at least one tree"):
+            train_forest(X, y, [0, 1], n_trees=n_trees, seed=0)
+
     def test_default_features_per_split(self):
         assert default_features_per_split(14) == 3
         assert default_features_per_split(1) == 1
         assert default_features_per_split(104) == 10
+
+
+class TestForestArrays:
+    """A forest holds one array per tree field and is checked as it is built;
+    ``forest.trees`` cuts each tree from those arrays, and a traced benchmark
+    run counts trees and nodes through it (``len(forest.trees)``,
+    ``len(t.feature)``)."""
+
+    def test_trained_and_loaded_forests_count_their_trees_and_nodes(self):
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(120, 3))
+        y = rng.integers(0, 3, size=120)
+        trained = train_forest(X, y, [0, 1, 2], n_trees=7, max_depth=6, seed=11)
+        bundle = ModelBundle("T1", 10, trained, ["f0", "f1", "f2"], [], created_at=0)
+        loaded = deserialize_model(serialize_model(bundle)).forest
+        for forest in (trained, loaded):
+            assert len(forest.trees) == forest.n_trees == 7
+            assert sum(len(t.feature) for t in forest.trees) == forest.feature.size == forest.tree_sizes.sum()
+            for name in TREE_FIELDS:
+                assert np.array_equal(np.concatenate([getattr(t, name) for t in forest.trees]), getattr(forest, name))
+        assert loaded == trained
+
+    @pytest.mark.parametrize("trees, match", [
+        (lambda: [leaf_tree([1, 0]), tree_of([0, LEAF, LEAF], [0.5, 0.0, 0.0], [1, LEAF, LEAF], [0, LEAF, LEAF],
+                                             [None, [1, 0], [0, 1]])], "not past it"),
+        (lambda: [leaf_tree([1, 0]), tree_of([2, LEAF, LEAF], [0.5, 0.0, 0.0], [1, LEAF, LEAF], [2, LEAF, LEAF],
+                                             [None, [1, 0], [0, 1]])], "neither -1 nor below 2"),
+        (lambda: [leaf_tree([1, 0, 0])], "2 class counts"),
+    ])
+    def test_a_forest_no_walk_could_score_is_refused_as_it_is_built(self, trees, match):
+        with pytest.raises(ValueError, match=match):
+            hand_forest(trees(), [0, 1], 2)
 
 
 class TestPredict:
@@ -193,9 +232,10 @@ class TestPredict:
 
     def test_tree_order_does_not_change_prediction(self):
         forest, X = self._forest(6)
-        import copy
-        shuffled = copy.deepcopy(forest)
-        shuffled.trees = shuffled.trees[::-1]
+        shuffled = RandomForest.of_trees(forest.trees[::-1], max_depth=forest.max_depth,
+                                         features_per_split=forest.features_per_split, class_ids=forest.class_ids,
+                                         seed=forest.seed, n_features=forest.n_features)
+        assert [t.feature.size for t in shuffled.trees] == [t.feature.size for t in forest.trees][::-1]
         for row in X[:20]:
             assert predict(forest, row) == predict(shuffled, row)
 
@@ -210,8 +250,16 @@ class TestPredict:
             predict(forest, [1.0, float("nan"), 0.0, 2.0])
 
 
+def tree_of(feature, threshold, left, right, counts):
+    """A DecisionTree from per-node lists; None counts are an inner node's."""
+    n_classes = len(next(c for c in counts if c is not None))
+    return DecisionTree(np.array(feature, dtype=np.intp), np.array(threshold, dtype=np.float64),
+                        np.array(left, dtype=np.intp), np.array(right, dtype=np.intp),
+                        np.array([[0] * n_classes if c is None else c for c in counts], dtype=np.int64))
+
+
 def leaf_tree(counts):
-    return DecisionTree([LEAF], [0.0], [LEAF], [LEAF], [list(counts)])
+    return tree_of([LEAF], [0.0], [LEAF], [LEAF], [list(counts)])
 
 
 def chain_tree(depth, n_classes):
@@ -230,12 +278,12 @@ def chain_tree(depth, n_classes):
     left.append(LEAF)
     right.append(LEAF)
     counts.append([1] * n_classes)  # a tie at the leaf: the lowest class wins
-    return DecisionTree(feature, threshold, left, right, counts)
+    return tree_of(feature, threshold, left, right, counts)
 
 
 def hand_forest(trees, class_ids, n_features):
-    return RandomForest(trees=trees, n_trees=len(trees), max_depth=25, features_per_split=1,
-                        class_ids=class_ids, seed=0, n_features=n_features)
+    return RandomForest.of_trees(trees, max_depth=25, features_per_split=1, class_ids=class_ids, seed=0,
+                                 n_features=n_features)
 
 
 class TestCompiledWalk:

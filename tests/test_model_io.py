@@ -139,6 +139,36 @@ class TestDump:
         assert path.read_bytes() == serialize_model(bundle)
 
 
+class TestPinnedBytes:
+    """A fixed forest's bundle and dump, pinned to the bytes the list-based
+    trees gave before trees became numpy arrays. Growing trees level by
+    level (ROADMAP item 4 step 3) draws features in another order and will
+    change both hashes on purpose; record the new ones then."""
+
+    SERIALIZED_SHA256 = "45b9f345ce157b188306d26655aff3aa30b8b3b6c54a3cff4338362122d4d1b7"
+    DUMP_SHA256 = "bbaa36c1b3fb6449290be1089c5afcaccb8a71bd6c654bf3e7c47b4635a5dacb"
+
+    @staticmethod
+    def pinned_bundle():
+        rng = np.random.default_rng(105)
+        X = rng.normal(size=(150, 4))
+        y = (X[:, 0] > 0).astype(np.int64)
+        forest = train_forest(X, y, [0, 1], n_trees=10, max_depth=8, seed=55)
+        return ModelBundle("T1", 10, forest, list("abcd"), [], created_at=0)
+
+    def test_serialized_bytes_and_dump_are_pinned(self):
+        bundle = self.pinned_bundle()
+        assert hashlib.sha256(serialize_model(bundle)).hexdigest() == self.SERIALIZED_SHA256
+        assert hashlib.sha256(dump_text(bundle).encode()).hexdigest() == self.DUMP_SHA256
+
+    def test_save_load_save_gives_the_same_bytes(self, tmp_path):
+        first, second = tmp_path / "first.model", tmp_path / "second.model"
+        save_model(self.pinned_bundle(), first)
+        save_model(load_model(first), second)
+        assert second.read_bytes() == first.read_bytes()
+        assert dump_text(load_model(second)) == dump_text(self.pinned_bundle())
+
+
 def _rechecksummed(bundle, mutate) -> bytes:
     """``bundle``'s bytes with ``mutate(doc)`` applied to its payload, which
     keeps a valid checksum: only the payload check can refuse it."""
@@ -182,6 +212,15 @@ class TestCheckedTrees:
         blob = _rechecksummed(bundle, CORRUPT_TREES[case])
         with pytest.raises(CorruptModel, match="no model bundle"):
             deserialize_model(blob, source="m.model")
+
+    def test_counts_at_an_inner_node_are_corrupt(self, bundle):
+        """Counts must be null exactly at the inner nodes: counts written at
+        the root and a null at the first leaf would hand that leaf the root's."""
+        def move(doc):
+            tree = doc["forest"]["trees"][0]
+            tree["counts"][0], tree["counts"][_first_leaf(tree)] = [0, 0, 9], None
+        with pytest.raises(CorruptModel, match="no model bundle"):
+            deserialize_model(_rechecksummed(bundle, move), source="m.model")
 
     def test_untouched_payload_loads_with_its_forest_compiled(self, bundle):
         loaded = deserialize_model(_rechecksummed(bundle, lambda doc: None))

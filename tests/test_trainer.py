@@ -237,6 +237,21 @@ class TestPlanParsing:
         assert parse_plan(plan_file) == TrainingPlan(
             store_path=Path("s"), output_dir=Path("o"), start=T0, end=T0 + 86400)
 
+    @pytest.mark.parametrize("line, key", [
+        ("n_trees = 0", "n_trees"),
+        ("n_trees = -3", "n_trees"),
+        ("features_per_split = 0", "features_per_split"),
+    ])
+    def test_a_plan_that_grows_no_tree_is_refused(self, tmp_path, line, key):
+        plan_file = tmp_path / "plan.conf"
+        plan_file.write_text(
+            "store_path = s\noutput_dir = o\n"
+            f"start = 2015-01-01T00:00:00Z\nend = 2015-01-02T00:00:00Z\n{line}\n")
+        with pytest.raises(PlanInvalid, match=key):
+            parse_plan(plan_file)
+        with pytest.raises(PlanInvalid, match="n_trees"):
+            parse_plan(plan_file, overrides={"n_trees": 0})
+
     def test_every_plan_field_has_a_cast(self):
         assert set(_PLAN_CASTS) == {f.name for f in fields(TrainingPlan)}
 
