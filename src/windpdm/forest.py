@@ -12,9 +12,21 @@ Conventions, fixed so independent reimplementations agree:
 * A node becomes a leaf on max depth, purity, or when no candidate split
   strictly reduces impurity.
 * features_per_split defaults to floor(sqrt(p)); bootstrap resamples n rows
-  with replacement; each tree's rng derives from (seed, tree_index), so
-  training is a pure function of (rows, hyperparameters, seed) and trees may
-  train concurrently without changing the result.
+  with replacement; each tree's rng derives from (seed, tree_index) and
+  first draws the tree's bootstrap rows, so training is a pure function of
+  (rows, hyperparameters, seed).
+* Trees grow level by level, all trees of a forest together (``_Grower``).
+  At each level above max depth, each tree with k nodes of more than one
+  class at that level makes one draw, ``rng.random((k, p))``, row i for
+  its i-th such node in node order; a node samples the features of the m
+  (= min(features_per_split, p)) smallest uniforms of its row (stable
+  argsort). A tree's draws depend only on its levels above, so a forest
+  grown to depth m is the deeper forest cut at level m.
+* Nodes are numbered per tree in level order: the root is 0, and the
+  children of a level's split nodes are numbered after every node of that
+  level, in the order of their parents, left before right. A node's
+  children so come after it, and the nodes down to any level are a prefix
+  of the tree's arrays. Inner nodes keep zero class counts.
 * A tree is numpy node arrays from the grower on (``DecisionTree``), and a
   forest holds one array per field for all its trees, tree after tree, with
   each tree's node count (``RandomForest``); its ``trees`` are views cut
@@ -37,6 +49,7 @@ Conventions, fixed so independent reimplementations agree:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -49,6 +62,9 @@ from .errors import DimensionMismatch, EmptyInput, NonFiniteFeature
 LEAF = -1
 DEFAULT_N_TREES = 40
 DEFAULT_MAX_DEPTH = 25
+# candidates whose float score is within this share of their node's best are
+# compared exactly
+NEAR_TIE = 1e-9
 
 
 @dataclass(eq=False)
@@ -136,14 +152,6 @@ class RandomForest:
             if not (inside | (at_leaf & (child == LEAF))).all():
                 raise ValueError("an inner node's child is not past it in its tree, or a leaf's neither LEAF nor in it")
 
-    @classmethod
-    def of_trees(cls, trees: Sequence[DecisionTree], **params) -> RandomForest:
-        """The forest of ``trees``, in order; ``params`` are the other fields
-        but ``n_trees``."""
-        joined = (np.concatenate([getattr(t, name) for t in trees]) for name in TREE_FIELDS)
-        sizes = np.fromiter((t.feature.size for t in trees), np.intp, len(trees))
-        return cls(*joined, sizes, n_trees=len(trees), **params)
-
     @cached_property
     def trees(self) -> list[DecisionTree]:
         """Each tree as views of the forest's arrays, cut on first use."""
@@ -151,57 +159,202 @@ class RandomForest:
         arrays = [getattr(self, name) for name in TREE_FIELDS]
         return [DecisionTree(*(a[start:end] for a in arrays)) for start, end in zip([0] + ends, ends)]
 
+    def tree_shapes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each tree's node count, depth and leaf count, from the arrays."""
+        sizes = self.tree_sizes
+        starts = np.cumsum(sizes) - sizes
+        at_leaf = self.feature == LEAF
+        shift = np.repeat(starts, sizes)  # a tree's node i is node start + i of the forest
+        depth = np.zeros(at_leaf.size, dtype=np.intp)
+        level, d = starts, 0
+        while level.size:
+            depth[level] = d
+            inner = level[~at_leaf[level]]
+            level = np.concatenate([self.left[inner], self.right[inner]]) + np.tile(shift[inner], 2)
+            d += 1
+        return sizes, np.maximum.reduceat(depth, starts), np.add.reduceat(at_leaf, starts)
+
     def __eq__(self, other):
         if not isinstance(other, RandomForest):
             return NotImplemented
         return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
-def _best_split(x: np.ndarray, y_onehot: np.ndarray, feature_indices: np.ndarray):
-    """Best (feature, threshold) by exact fraction comparison, or None.
+class _Grower:
+    """Grows trees over the rows of one training matrix, all trees together,
+    one level at a time.
 
-    Returns (feature, threshold, left_mask) maximizing
-    S = (nr * sum(lc^2) + nl * sum(rc^2)) / (nl * nr); the caller checks
-    whether S beats the parent's purity.
+    Each column's values are replaced by their dense ranks, so that one
+    integer sort orders the values of every (node, sampled feature) segment
+    of a level; ``value[f, r]`` is the value of rank r in column f.
     """
-    n = x.shape[0]
-    total = y_onehot.sum(axis=0).astype(np.int64)
-    best = None  # (a, b, feature, threshold) with S = a / b
-    for f in sorted(int(i) for i in feature_indices):
-        col = x[:, f]
-        order = np.argsort(col, kind="stable")
-        sorted_col = col[order]
-        boundaries = np.nonzero(sorted_col[:-1] < sorted_col[1:])[0]
-        if boundaries.size == 0:
-            continue
-        cum = np.cumsum(y_onehot[order], axis=0).astype(np.int64)
-        lc = cum[boundaries]
-        rc = total[None, :] - lc
-        nl = lc.sum(axis=1)
-        nr = n - nl
-        a_vec = nr * np.sum(lc * lc, axis=1) + nl * np.sum(rc * rc, axis=1)
-        b_vec = nl * nr
-        # float pre-ranking, then exact integer comparison among near-ties
-        q = a_vec / b_vec
-        q_max = q.max()
-        near = np.nonzero(q >= q_max - 1e-9 * max(1.0, abs(q_max)))[0]
-        for idx in near:
-            a = int(a_vec[idx])
-            b = int(b_vec[idx])
-            i = int(boundaries[idx])
-            thr = (float(sorted_col[i]) + float(sorted_col[i + 1])) / 2.0
-            if best is None or a * best[1] > best[0] * b or (
-                a * best[1] == best[0] * b and (f, thr) < (best[2], best[3])
-            ):
-                best = (a, b, f, thr)
-    if best is None:
-        return None
-    a, b, f, thr = best
-    parent_sq = int(np.sum(total.astype(object) ** 2))
-    # split improves impurity iff S > sum(pc^2) / n, compared exactly
-    if a * n <= parent_sq * b:
-        return None
-    return f, thr, x[:, f] <= thr
+
+    def __init__(self, X: np.ndarray, y: np.ndarray, n_classes: int, features_per_split: int):
+        finite = np.isfinite(X)
+        if not finite.all():  # a NaN would take a rank of its own and split at a NaN threshold
+            v = float(X.flat[int(np.argmin(finite))])
+            raise NonFiniteFeature(f"non-finite feature value {v!r} in training rows")
+        n, p = X.shape
+        self.X, self.y, self.n_classes, self.m = X, y, n_classes, min(features_per_split, p)
+        order = np.argsort(X, axis=0, kind="stable")
+        by_value = np.take_along_axis(X, order, axis=0)
+        ranks = np.zeros((n, p), dtype=np.intp)
+        np.cumsum(by_value[1:] != by_value[:-1], axis=0, out=ranks[1:])
+        self.rank = np.empty_like(ranks)
+        np.put_along_axis(self.rank, order, ranks, axis=0)
+        self.value = np.empty((p, n))
+        self.value[np.arange(p)[:, None], ranks.T] = by_value.T
+        # a sort key packs (segment, rank, class) into one int64, in that order
+        self.class_bits, self.rank_bits = max(1, (n_classes - 1).bit_length()), max(1, (n - 1).bit_length())
+
+    def grow(self, max_depth: int, rngs: Sequence[np.random.Generator], samples: Sequence[np.ndarray]):
+        """One tree per (rng, sample of row indexes): the trees' node arrays
+        in ``TREE_FIELDS`` order, tree after tree, and each tree's node count."""
+        n_trees, n_classes = len(rngs), self.n_classes
+        rows = np.concatenate(samples)  # the open nodes' rows, node after node
+        if (self.m * rows.size).bit_length() + self.rank_bits + self.class_bits > 63:
+            raise ValueError(f"{rows.size} sampled rows are too many to grow at once")
+        size = np.fromiter(map(len, samples), np.intp, n_trees)  # rows per open node
+        tree = np.arange(n_trees)  # each open node's tree ...
+        local = np.zeros(n_trees, dtype=np.intp)  # ... and its index there
+        n_nodes = np.ones(n_trees, dtype=np.intp)  # nodes numbered so far, per tree
+        levels = []
+        for depth in itertools.count():
+            k = size.size
+            node_of = np.repeat(np.arange(k), size)
+            counts = np.bincount(node_of * n_classes + self.y[rows], minlength=k * n_classes).reshape(k, n_classes)
+            feature = np.full(k, LEAF, dtype=np.intp)
+            threshold = np.zeros(k)
+            left = np.full(k, LEAF, dtype=np.intp)
+            right = np.full(k, LEAF, dtype=np.intp)
+            found = self._splits(rows, size, counts, tree, rngs) if depth < max_depth else None
+            levels.append((tree, local, feature, threshold, left, right, counts))
+            if found is None:
+                break
+            split, split_feature, split_threshold = found
+            feature[split], threshold[split] = split_feature, split_threshold
+            # children are numbered past the tree's nodes so far, left then right
+            split_tree = tree[split]
+            nth = np.arange(split.size) - np.searchsorted(split_tree, split_tree)  # within its tree
+            left[split] = n_nodes[split_tree] + 2 * nth
+            right[split] = left[split] + 1
+            n_nodes += 2 * np.bincount(split_tree, minlength=n_trees)
+            counts[split] = 0
+            # route the split nodes' rows, a node's left rows before its right rows
+            slot = np.full(k, -1)
+            slot[split] = np.arange(split.size)
+            kept = slot[node_of] >= 0
+            rows, node_of = rows[kept], node_of[kept]
+            child = 2 * slot[node_of] + (self.X[rows, feature[node_of]] > threshold[node_of])
+            rows = rows[np.argsort(child, kind="stable")]
+            size = np.bincount(child, minlength=2 * split.size)
+            tree = np.repeat(split_tree, 2)
+            local = np.column_stack([left[split], right[split]]).ravel()
+
+        offset = np.cumsum(n_nodes) - n_nodes
+        total = int(n_nodes.sum())
+        arrays = (np.empty(total, dtype=np.intp), np.empty(total), np.empty(total, dtype=np.intp),
+                  np.empty(total, dtype=np.intp), np.empty((total, n_classes), dtype=np.int64))
+        for level_tree, level_local, *level_fields in levels:
+            at = offset[level_tree] + level_local
+            for array, values in zip(arrays, level_fields):
+                array[at] = values
+        return arrays, n_nodes
+
+    def _splits(self, rows, size, counts, tree, rngs):
+        """The splits of one level's open nodes, as (node indexes, features,
+        thresholds) in node order, or None when no node splits. A node with
+        more than one class draws its features; it splits at its best
+        candidate if that strictly reduces impurity."""
+        m, class_bits, rank_bits = self.m, self.class_bits, self.rank_bits
+        eligible = np.count_nonzero(counts, axis=1) > 1
+        nodes = np.flatnonzero(eligible)
+        if not nodes.size:
+            return None
+        # one draw per tree for all its eligible nodes, in node order: a node
+        # samples the features of the m smallest of its row's uniforms
+        p = self.X.shape[1]
+        draws = np.concatenate([rngs[t].random((c, p))
+                                for t, c in enumerate(np.bincount(tree[nodes], minlength=len(rngs)).tolist()) if c])
+        sampled = np.sort(np.argsort(draws, axis=1, kind="stable")[:, :m], axis=1)
+
+        node_size = size[nodes]
+        erows = rows[np.repeat(eligible, size)]
+        enode = np.repeat(np.arange(nodes.size), node_size)
+        # segment s is (node s // m, its sampled feature s % m); one sort orders
+        # every segment's values, and a value's classes ascend
+        key = enode[:, None] * m + np.arange(m)
+        key <<= rank_bits
+        key |= self.rank[erows[:, None], sampled[enode]]
+        key <<= class_bits
+        key |= self.y[erows][:, None]
+        key = key.ravel()
+        key.sort()
+        cls = key & ((1 << class_bits) - 1)
+        seg_size = np.repeat(node_size, m)
+        seg_start = np.cumsum(seg_size) - seg_size
+        # a candidate splits its segment after the last entry of a group of
+        # equal values, other than the segment's last group. A group is pure
+        # when its first and last classes agree. S is strictly convex across
+        # a run of pure groups of one class, so a candidate inside the run
+        # scores below one of the run's ends (or below the parent's purity,
+        # at the segment's start or end); those are dropped
+        ends = np.flatnonzero((key[1:] >> class_bits) != (key[:-1] >> class_bits))
+        pure = cls[np.r_[0, ends + 1]] == cls[np.r_[ends, key.size - 1]]
+        drop = pure[:-1] & pure[1:] & (cls[ends] == cls[ends + 1])
+        drop[np.searchsorted(ends, seg_start[1:] - 1)] = True
+        cut = ends[~drop]
+        if not cut.size:
+            return None
+        seg = key[cut] >> (rank_bits + class_bits)
+        owner = seg // m  # the candidate's node, among ``nodes``
+        nl = cut + 1 - seg_start[seg]
+        nr = seg_size[seg] - nl
+        # S = a / b with a = nr * sum(lc^2) + nl * sum(rc^2) and b = nl * nr
+        total = counts[nodes]
+        lsq = np.zeros(cut.size, dtype=np.int64)
+        rsq = np.zeros(cut.size, dtype=np.int64)
+        before = np.zeros(key.size + 1, dtype=np.intp)
+        for c in range(self.n_classes):
+            np.cumsum(cls == c, out=before[1:])  # class c entries before each position
+            lc = before[cut + 1] - before[cut + 1 - nl]
+            rc = total[owner, c] - lc
+            lsq += lc * lc
+            rsq += rc * rc
+        a = nr * lsq + nl * rsq
+        b = nl * nr
+        # float pre-ranking per node, then exact comparison among the near-ties,
+        # in Python ints: a * b can pass int64 at about 10,900 rows
+        q = a / b
+        opens = np.r_[True, owner[1:] != owner[:-1]]  # a node's first candidate
+        group = np.cumsum(opens) - 1  # the candidate's node, among those with candidates
+        q_max = np.maximum.reduceat(q, np.flatnonzero(opens))[group]
+        near = np.flatnonzero(q >= q_max - NEAR_TIE * np.maximum(1.0, np.abs(q_max)))
+        a_near, b_near, g_near = a[near].astype(object), b[near].astype(object), group[near]
+        best = _firsts(g_near, np.arange(near.size))
+        while True:
+            diff = a_near * b_near[best[g_near]] - a_near[best[g_near]] * b_near
+            better = np.flatnonzero(diff > 0)
+            if not better.size:
+                break
+            best[g_near[better]] = better  # one better candidate per node, whichever
+        # ties go to the lowest feature, then the lowest threshold: the first candidate
+        tied = np.flatnonzero(diff == 0)
+        chosen = near[_firsts(g_near[tied], tied)]
+        # a split must beat the parent's purity: S > sum(pc^2) / n, compared exactly
+        parent_sq = (total[owner[chosen]].astype(object) ** 2).sum(axis=1)
+        chosen = chosen[a[chosen].astype(object) * node_size[owner[chosen]] > parent_sq * b[chosen].astype(object)]
+        if not chosen.size:
+            return None
+        f = sampled[owner[chosen], seg[chosen] % m]
+        lo, hi = (key[cut[chosen] + [[0], [1]]] >> class_bits) & ((1 << rank_bits) - 1)  # the ranks either side
+        return nodes[owner[chosen]], f, (self.value[f, lo] + self.value[f, hi]) / 2.0
+
+
+def _firsts(groups: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """The item at each group's first entry; ``groups`` ascend from 0 in
+    steps of 0 or 1."""
+    return items[np.r_[True, groups[1:] != groups[:-1]]]
 
 
 def train_tree(
@@ -212,60 +365,16 @@ def train_tree(
     features_per_split: int,
     rng: np.random.Generator,
 ) -> DecisionTree:
-    """Grow one greedy CART tree over class-index labels 0..n_classes-1."""
+    """Grow one greedy CART tree over class-index labels 0..n_classes-1,
+    drawing its features from ``rng``."""
     X = np.asarray(X, dtype=np.float64)
     y_index = np.asarray(y_index, dtype=np.int64)
     if X.size == 0 or y_index.size == 0:
         raise EmptyInput("cannot train a tree on zero rows")
     if features_per_split < 1:
         raise EmptyInput("features_per_split must be >= 1")
-    n, p = X.shape
-    onehot = np.zeros((n, n_classes), dtype=np.int64)
-    onehot[np.arange(n), y_index] = 1
-
-    # the growth lists, turned into arrays once the tree is grown
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    node_counts: list[np.ndarray] = []
-    no_rows = np.zeros(n_classes, dtype=np.int64)  # an inner node's counts
-
-    def add_leaf(counts: np.ndarray) -> int:
-        i = len(feature)
-        feature.append(LEAF)
-        threshold.append(0.0)
-        left.append(LEAF)
-        right.append(LEAF)
-        node_counts.append(counts)
-        return i
-
-    def grow(rows: np.ndarray, depth: int) -> int:
-        counts = onehot[rows].sum(axis=0)
-        if depth >= max_depth or np.count_nonzero(counts) <= 1:
-            return add_leaf(counts)
-        m = min(features_per_split, p)
-        sampled = rng.choice(p, size=m, replace=False)
-        found = _best_split(X[rows], onehot[rows], sampled)
-        if found is None:
-            return add_leaf(counts)
-        f, thr, left_mask = found
-        i = len(feature)
-        feature.append(f)
-        threshold.append(thr)
-        left.append(0)
-        right.append(0)
-        node_counts.append(no_rows)
-        left[i] = grow(rows[left_mask], depth + 1)
-        right[i] = grow(rows[~left_mask], depth + 1)
-        return i
-
-    grow(np.arange(n), 0)
-    # grow's closure holds grow itself, a cycle that would keep onehot and the
-    # rows' copy of X alive until the next cyclic collection; del breaks it
-    del grow
-    return DecisionTree(np.array(feature, dtype=np.intp), np.array(threshold, dtype=np.float64),
-                        np.array(left, dtype=np.intp), np.array(right, dtype=np.intp), np.stack(node_counts))
+    arrays, _ = _Grower(X, y_index, n_classes, features_per_split).grow(max_depth, [rng], [np.arange(len(X))])
+    return DecisionTree(*arrays)
 
 
 def default_features_per_split(p: int) -> int:
@@ -292,21 +401,20 @@ def train_forest(
     n, p = X.shape
     if features_per_split is None:
         features_per_split = default_features_per_split(p)
+    if features_per_split < 1:
+        raise EmptyInput("features_per_split must be >= 1")
     index_of = {c: i for i, c in enumerate(class_ids)}
     try:
         y_index = np.asarray([index_of[int(label)] for label in y], dtype=np.int64)
     except KeyError as exc:
         raise EmptyInput(f"label {exc} not in class list {class_ids}") from None
-    trees = []
-    for t in range(n_trees):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
-        if bootstrap:
-            rows = rng.integers(0, n, size=n)
-        else:
-            rows = np.arange(n)
-        trees.append(train_tree(X[rows], y_index[rows], len(class_ids), max_depth, features_per_split, rng))
-    return RandomForest.of_trees(
-        trees,
+    rngs = [np.random.default_rng(np.random.SeedSequence((seed, t))) for t in range(n_trees)]
+    samples = [rng.integers(0, n, size=n) if bootstrap else np.arange(n) for rng in rngs]
+    arrays, sizes = _Grower(X, y_index, len(class_ids), features_per_split).grow(max_depth, rngs, samples)
+    return RandomForest(
+        *arrays,
+        sizes,
+        n_trees=n_trees,
         max_depth=max_depth,
         features_per_split=features_per_split,
         class_ids=list(class_ids),

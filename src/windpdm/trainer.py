@@ -37,7 +37,7 @@ from .features import (
     SelectionReport,
     select_parameters,
 )
-from .forest import DEFAULT_MAX_DEPTH, DEFAULT_N_TREES, train_forest
+from .forest import DEFAULT_MAX_DEPTH, DEFAULT_N_TREES, RandomForest, train_forest
 from .ingest import OperationalRecord, TurbineStore
 from .manifest import parse_bool, parse_key_values, parse_name_list
 from .metrics import EvaluationReport, score, write_evaluation_csv
@@ -139,6 +139,8 @@ class HorizonOutcome:
     evaluation: EvaluationReport | None = None
     test_rows: int = 0
     duration_seconds: float = 0.0
+    # per tree statistic ("nodes", "depth", "leaves"): its mean and max over the forest
+    tree_stats: dict[str, dict[str, float]] | None = None
 
 
 @dataclass
@@ -199,6 +201,12 @@ def write_selection_report(directory: Path, turbine: str, selection: SelectionRe
     atomic_write(directory / f"selection_{turbine}.json", selection.to_json().encode("utf-8"))
 
 
+def tree_stats(forest: RandomForest) -> dict[str, dict[str, float]]:
+    """The mean and max over ``forest``'s trees of their nodes, depth and leaves."""
+    return {name: {"mean": float(v.mean()), "max": int(v.max())}
+            for name, v in zip(("nodes", "depth", "leaves"), forest.tree_shapes())}
+
+
 def _skip_reason(exc: Exception) -> str:
     """Data errors are expected and named by type; anything else is a bug."""
     if isinstance(exc, DataError):
@@ -246,7 +254,7 @@ def _train_turbine(plan: TrainingPlan, store: TurbineStore, turbine: str):
             outcomes.append(HorizonOutcome(
                 turbine, h, "completed", bundle_path=path,
                 evaluation=report, test_rows=split.test.n_rows,
-                duration_seconds=time.perf_counter() - begin))
+                duration_seconds=time.perf_counter() - begin, tree_stats=tree_stats(forest)))
         except Exception as exc:
             outcomes.append(HorizonOutcome(
                 turbine, h, "skipped", skip_reason=_skip_reason(exc),
@@ -334,6 +342,7 @@ def _write_reports(plan: TrainingPlan, report: TrainingRunReport) -> None:
                                     if o.evaluation is not None else None),
                 "test_rows": o.test_rows,
                 "duration_seconds": o.duration_seconds,
+                "tree_stats": o.tree_stats,
             }
             for o in report.outcomes
         ],

@@ -106,6 +106,26 @@ def brute_force_best_split(X: np.ndarray, y: np.ndarray, n_classes: int):
     return f, thr
 
 
+def brute_force_tree(X: np.ndarray, y: np.ndarray, n_classes: int, max_depth: int):
+    """A whole CART tree grown recursively over every feature, each node
+    split at ``brute_force_best_split``'s exact best, in preorder: a leaf is
+    ("leaf", class counts), an inner node (feature, threshold, left, right).
+    A node is a leaf at ``max_depth``, when pure, or when no split reduces
+    impurity."""
+    def grow(rows: np.ndarray, depth: int):
+        counts = tuple(int(np.sum(y[rows] == c)) for c in range(n_classes))
+        found = None
+        if depth < max_depth and sum(1 for v in counts if v) > 1:
+            found = brute_force_best_split(X[rows], y[rows], n_classes)
+        if found is None:
+            return ("leaf", counts)
+        f, thr = found
+        left = X[rows, f] <= thr
+        return (f, thr, grow(rows[left], depth + 1), grow(rows[~left], depth + 1))
+
+    return grow(np.arange(len(y)), 0)
+
+
 def union_find_groups(corr: np.ndarray, names: list[str], threshold: float):
     """Transitive closure of |r| >= threshold via union-find."""
     parent = list(range(len(names)))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import windpdm.forest as forest_module
 from windpdm.errors import DimensionMismatch, EmptyInput, NonFiniteFeature
 from windpdm.forest import (
     LEAF,
@@ -18,7 +19,7 @@ from windpdm.forest import (
 )
 from windpdm.model_io import ModelBundle, deserialize_model, serialize_model
 
-from oracles import brute_force_best_split
+from oracles import brute_force_best_split, brute_force_tree
 
 
 def rng_for(seed=0):
@@ -92,6 +93,16 @@ class TestTrainTree:
         with pytest.raises(EmptyInput):
             train_tree(np.empty((0, 2)), np.empty(0, dtype=np.int64), 2, 5, 1, rng_for())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_training_value_is_refused(self, bad):
+        X = np.random.default_rng(0).normal(size=(30, 2))
+        X[7, 1] = bad
+        y = np.arange(30) % 2
+        with pytest.raises(NonFiniteFeature):
+            train_tree(X, y, 2, 5, 1, rng_for())
+        with pytest.raises(NonFiniteFeature):
+            train_forest(X, y, [0, 1], n_trees=2, seed=0)
+
 
 class TestTrainForest:
     def _planted(self, n=300, seed=0):
@@ -164,6 +175,80 @@ class TestTrainForest:
         assert default_features_per_split(104) == 10
 
 
+def preorder(tree, i=0):
+    """``tree`` from node i in ``brute_force_tree``'s form."""
+    if tree.feature[i] == LEAF:
+        return ("leaf", tuple(tree.counts[i].tolist()))
+    return (int(tree.feature[i]), float(tree.threshold[i]),
+            preorder(tree, tree.left[i]), preorder(tree, tree.right[i]))
+
+
+def cut_at_level(tree, level):
+    """``tree`` without its nodes below ``level``; a node at ``level`` becomes
+    a leaf holding the class counts of the leaves under it. Nodes are
+    numbered in level order, so the kept nodes are a prefix."""
+    n = tree.feature.size
+    inner = np.flatnonzero(tree.feature != LEAF)
+    depth = np.zeros(n, dtype=np.intp)
+    for i in inner:
+        depth[tree.left[i]] = depth[tree.right[i]] = depth[i] + 1
+    assert (np.diff(depth) >= 0).all(), "nodes are not in level order"
+    under = tree.counts.copy()
+    for i in inner[::-1]:
+        under[i] = under[tree.left[i]] + under[tree.right[i]]
+    k = int(np.count_nonzero(depth <= level))
+    edge = depth[:k] == level
+    return DecisionTree(np.where(edge, LEAF, tree.feature[:k]), np.where(edge, 0.0, tree.threshold[:k]),
+                        np.where(edge, LEAF, tree.left[:k]), np.where(edge, LEAF, tree.right[:k]),
+                        np.where(edge[:, None], under[:k], tree.counts[:k]))
+
+
+class TestLevelWiseGrowth:
+    """Trees grow one level at a time, every tree of a forest together."""
+
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    @pytest.mark.parametrize("seed, integer_valued", [(0, False), (1, False), (2, False),
+                                                      (3, True), (4, True), (5, True)])
+    def test_with_every_feature_each_tree_is_the_brute_force_tree(self, seed, integer_valued, bootstrap):
+        # integer values repeat, so candidates tie in threshold and in S
+        rng = np.random.default_rng(seed)
+        n, p = 40, 3
+        X = rng.integers(0, 4, size=(n, p)).astype(float) if integer_valued else rng.normal(size=(n, p))
+        y = rng.integers(0, 3, size=n)
+        forest = train_forest(X, y, [0, 1, 2], n_trees=3, max_depth=25, features_per_split=p,
+                              seed=seed, bootstrap=bootstrap)
+        for t, tree in enumerate(forest.trees):
+            rows = np.random.default_rng(np.random.SeedSequence((seed, t))).integers(0, n, size=n) \
+                if bootstrap else np.arange(n)
+            assert preorder(tree) == brute_force_tree(X[rows], y[rows], 3, 25), f"tree {t}"
+
+    @pytest.mark.parametrize("integer_valued", [False, True])
+    def test_the_exact_comparison_alone_finds_the_brute_force_tree(self, integer_valued, monkeypatch):
+        # with every candidate inside the float window, the exact integer
+        # comparison decides every node by itself
+        monkeypatch.setattr(forest_module, "NEAR_TIE", np.inf)
+        rng = np.random.default_rng(7 + integer_valued)
+        X = rng.integers(0, 4, size=(40, 3)).astype(float) if integer_valued else rng.normal(size=(40, 3))
+        y = rng.integers(0, 3, size=40)
+        tree = train_tree(X, y, 3, max_depth=25, features_per_split=3, rng=rng_for())
+        assert preorder(tree) == brute_force_tree(X, y, 3, 25)
+
+    def test_a_shallower_forest_is_the_deep_forest_cut(self):
+        # draws are made per tree per level, so the levels a shallower forest
+        # grows draw exactly what the deep forest's do
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(300, 5))
+        y = rng.integers(0, 3, size=300)
+        deep = train_forest(X, y, [0, 1, 2], n_trees=6, max_depth=25, seed=8)
+        assert max(t.depth() for t in deep.trees) > 8
+        for level in (1, 3, 8):
+            shallow = train_forest(X, y, [0, 1, 2], n_trees=6, max_depth=level, seed=8)
+            for t, (cut, grown) in enumerate(zip((cut_at_level(tree, level) for tree in deep.trees),
+                                                 shallow.trees)):
+                for name in TREE_FIELDS:
+                    assert np.array_equal(getattr(cut, name), getattr(grown, name)), (level, t, name)
+
+
 class TestForestArrays:
     """A forest holds one array per tree field and is checked as it is built;
     ``forest.trees`` cuts each tree from those arrays, and a traced benchmark
@@ -183,6 +268,10 @@ class TestForestArrays:
             for name in TREE_FIELDS:
                 assert np.array_equal(np.concatenate([getattr(t, name) for t in forest.trees]), getattr(forest, name))
         assert loaded == trained
+
+    def test_tree_shapes_count_each_trees_nodes_depth_and_leaves(self):
+        forest = hand_forest([chain_tree(3, 2), leaf_tree([0, 1])], [0, 1], 1)
+        assert [a.tolist() for a in forest.tree_shapes()] == [[7, 1], [3, 0], [4, 1]]
 
     @pytest.mark.parametrize("trees, match", [
         (lambda: [leaf_tree([1, 0]), tree_of([0, LEAF, LEAF], [0.5, 0.0, 0.0], [1, LEAF, LEAF], [0, LEAF, LEAF],
@@ -232,9 +321,9 @@ class TestPredict:
 
     def test_tree_order_does_not_change_prediction(self):
         forest, X = self._forest(6)
-        shuffled = RandomForest.of_trees(forest.trees[::-1], max_depth=forest.max_depth,
-                                         features_per_split=forest.features_per_split, class_ids=forest.class_ids,
-                                         seed=forest.seed, n_features=forest.n_features)
+        shuffled = forest_of(forest.trees[::-1], max_depth=forest.max_depth,
+                             features_per_split=forest.features_per_split, class_ids=forest.class_ids,
+                             seed=forest.seed, n_features=forest.n_features)
         assert [t.feature.size for t in shuffled.trees] == [t.feature.size for t in forest.trees][::-1]
         for row in X[:20]:
             assert predict(forest, row) == predict(shuffled, row)
@@ -281,9 +370,16 @@ def chain_tree(depth, n_classes):
     return tree_of(feature, threshold, left, right, counts)
 
 
+def forest_of(trees, **params):
+    """The forest of ``trees``, in order; ``params`` are the other fields
+    but ``n_trees``."""
+    joined = (np.concatenate([getattr(t, name) for t in trees]) for name in TREE_FIELDS)
+    sizes = np.fromiter((t.feature.size for t in trees), np.intp, len(trees))
+    return RandomForest(*joined, sizes, n_trees=len(trees), **params)
+
+
 def hand_forest(trees, class_ids, n_features):
-    return RandomForest.of_trees(trees, max_depth=25, features_per_split=1, class_ids=class_ids, seed=0,
-                                 n_features=n_features)
+    return forest_of(trees, max_depth=25, features_per_split=1, class_ids=class_ids, seed=0, n_features=n_features)
 
 
 class TestCompiledWalk:

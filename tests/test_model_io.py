@@ -140,13 +140,14 @@ class TestDump:
 
 
 class TestPinnedBytes:
-    """A fixed forest's bundle and dump, pinned to the bytes the list-based
-    trees gave before trees became numpy arrays. Growing trees level by
-    level (ROADMAP item 4 step 3) draws features in another order and will
-    change both hashes on purpose; record the new ones then."""
+    """A fixed forest's bundle and dump, pinned to the bytes of trees grown
+    level by level, every tree of the forest together, with each tree's
+    features drawn per level and its nodes numbered in level order. A change
+    to the draws, the numbering or the bundle format changes both hashes;
+    record the new ones then."""
 
-    SERIALIZED_SHA256 = "45b9f345ce157b188306d26655aff3aa30b8b3b6c54a3cff4338362122d4d1b7"
-    DUMP_SHA256 = "bbaa36c1b3fb6449290be1089c5afcaccb8a71bd6c654bf3e7c47b4635a5dacb"
+    SERIALIZED_SHA256 = "d174a7c18c70f3bdfb5cc4d4e70f82fd8e4249847acddda9e4b81b365f8131dd"
+    DUMP_SHA256 = "e16135db62e7b32ca0be9e23a25b26f9878505036120abc8816ea37714f03915"
 
     @staticmethod
     def pinned_bundle():

@@ -3,12 +3,14 @@ import shutil
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from windpdm import agent, durable, model_io, trainer
 from windpdm.agent import MonitoringAgent
 from windpdm.broker import Broker
 from windpdm.errors import EmptyDataset, PlanInvalid
+from windpdm.forest import LEAF
 from windpdm.ingest import TurbineStore
 from windpdm.model_io import load_model
 from windpdm.patterns import HORIZONS_MINUTES
@@ -115,6 +117,18 @@ class TestRun:
         assert doc["completed"] == 6
         assert doc["fleet_accuracy"]["pooled"] is not None
         assert len(doc["outcomes"]) == 6
+
+    def test_report_json_holds_each_forests_tree_stats(self, tmp_path):
+        cfg = synth_store(tmp_path, turbines=1)
+        run(plan_for(cfg, tmp_path / "out", n_trees=5, max_depth=25))
+        doc = json.loads((tmp_path / "out" / "reports" / "training_report.json").read_text())
+        for outcome in doc["outcomes"]:
+            trees = model_io.load_model(Path(outcome["bundle_path"])).forest.trees
+            per_tree = {"nodes": [t.feature.size for t in trees], "depth": [t.depth() for t in trees],
+                        "leaves": [int(np.count_nonzero(t.feature == LEAF)) for t in trees]}
+            assert outcome["tree_stats"] == {name: {"mean": sum(v) / len(v), "max": max(v)}
+                                             for name, v in per_tree.items()}
+        assert doc["outcomes"][0]["tree_stats"]["depth"]["max"] > 1
 
 
 class TestCrashDuringRetrain:
